@@ -26,9 +26,6 @@ Conventions
 * Floats in text and CSV output are printed with ``%.17g`` so identical
   configurations produce byte-identical artifacts; JSON output relies on
   Python's exact round-trip float form.
-* Grid sweeps run on a thread pool capped by the ``HEATKERN_THREADS``
-  environment variable.  Each grid point is computed independently and
-  results keep grid order, so the cap never changes the output bytes.
 * Exit codes: 0 success, 2 configuration error, 3 numeric-resolution
   refusal, 4 verification failure.  Every nonzero exit writes exactly one
   JSON line to stderr with the machine-readable reason.
@@ -39,9 +36,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -256,27 +251,6 @@ def load_problem(name: str) -> SpectralProblem:
     return SpectralProblem.from_json_obj(obj)
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("HEATKERN_THREADS")
-    if raw is None:
-        return min(8, os.cpu_count() or 1)
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"HEATKERN_THREADS must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ValueError("HEATKERN_THREADS must be >= 1")
-    return cap
-
-
-def _parallel_map(fn, items: list):
-    cap = min(_thread_cap(), len(items))
-    if cap <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        return list(pool.map(fn, items))
-
-
 def _rows_text(config: RunConfig, columns: tuple[str, ...], rows) -> str:
     if config.fmt == "json":
         records = [dict(zip(columns, (float(v) for v in row))) for row in rows]
@@ -367,11 +341,7 @@ def _cmd_invariants(config: RunConfig) -> int:
 def _cmd_trace(config: RunConfig) -> int:
     problem = load_problem(config.problem)
     eigen = eigendata(problem, config.n_max)
-
-    def one(t: float):
-        return trace_comparison_rows(problem, eigen, [t], config.order)[0]
-
-    rows = _parallel_map(one, list(config.t_grid))
+    rows = trace_comparison_rows(problem, eigen, config.t_grid, config.order)
     columns = ("t", "omega_oracle", "omega_order2", "omega_resummed")
     _emit(config, _rows_text(config, columns, rows))
     if config.check_tol is not None:
@@ -386,11 +356,7 @@ def _cmd_trace(config: RunConfig) -> int:
 def _cmd_det(config: RunConfig) -> int:
     problem = load_problem(config.problem)
     eigen = eigendata(problem, config.n_max)
-
-    def one(lam: float):
-        return det_comparison_rows(problem, eigen, [lam])[0]
-
-    rows = _parallel_map(one, list(config.lam_grid))
+    rows = det_comparison_rows(problem, eigen, config.lam_grid)
     columns = ("lam", "log_det_oracle", "weyl", "gamma")
     _emit(config, _rows_text(config, columns, rows))
     return 0
@@ -399,11 +365,7 @@ def _cmd_det(config: RunConfig) -> int:
 def _cmd_zeta(config: RunConfig) -> int:
     problem = load_problem(config.problem)
     eigen = eigendata(problem, config.n_max)
-
-    def one(s: float):
-        return (s, zeta(eigen, s, config.lam))
-
-    rows = _parallel_map(one, list(config.s_grid))
+    rows = [(s, zeta(eigen, s, config.lam)) for s in config.s_grid]
     _emit(config, _rows_text(config, ("s", "zeta"), rows))
     return 0
 

@@ -12,13 +12,11 @@ serialisation round-trips bit-for-bit.
 The grading used throughout: letter ``d`` has weight ``d + 2``, the weight
 of a word is the sum over its letters and the empty word has weight 0.
 Differentiation raises the weight of every term by exactly 1 and preserves
-word length, which is what makes the exact antiderivative a finite linear
-algebra problem.
+word length.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -42,7 +40,6 @@ __all__ = [
     "commutative_image",
     "evaluate",
     "min_grid",
-    "words_of_weight",
 ]
 
 
@@ -273,133 +270,48 @@ def commutative_image(p: DiffPoly) -> DiffPoly:
 # ---------------------------------------------------------------------------
 
 
-def words_of_weight(weight: int, length: int, commutative: bool = False) -> list[Word]:
-    """All words of the given weight and word length (sorted words if commutative)."""
-    rest = weight - 2 * length
-    if length == 0:
-        return [()] if weight == 0 else []
-    if rest < 0:
-        return []
-    words: list[Word] = []
-    if commutative:
-        # nondecreasing letter sequences
-        def rec(prefix, remaining, slots, minimum):
-            if slots == 1:
-                if remaining >= minimum:
-                    words.append(prefix + (remaining,))
-                return
-            for d in range(minimum, remaining + 1):
-                rec(prefix + (d,), remaining - d, slots - 1, d)
-
-        rec((), rest, length, 0)
-    else:
-        for cuts in itertools.combinations(range(rest + length - 1), length - 1):
-            prev = -1
-            word = []
-            for c in cuts + (rest + length - 1,):
-                word.append(c - prev - 1)
-                prev = c
-            words.append(tuple(word))
-    return words
-
-
-def _derivative_of_word(w: Word, commutative: bool) -> dict[Word, int]:
-    out: dict[Word, int] = {}
-    for i in range(len(w)):
-        dw = w[:i] + (w[i] + 1,) + w[i + 1:]
-        if commutative:
-            dw = tuple(sorted(dw))
-        out[dw] = out.get(dw, 0) + 1
-    return out
-
-
 def antiderivative(p: DiffPoly, *, commutative: bool = False) -> DiffPoly:
     """Exact inverse of :func:`differentiate` on its image.
 
-    Solves ``differentiate(q) == p`` for the unique ``q`` with no weight-0
-    (constant) part, working blockwise per (weight, word-length) over exact
-    rationals.  Raises :class:`NotExactDerivativeError` if no such ``q``
-    exists, for example for ``p = Q`` or any pure power of ``Q``.
+    Returns the unique ``q`` with no constant term and
+    ``differentiate(q) == p`` (both taken in the commutative quotient when
+    ``commutative``), by peeling leading terms.  Under lexicographic order
+    the leading word of ``D(w)`` is ``w`` with its first letter raised, with
+    coefficient 1.  In the commutative quotient, comparing words largest
+    letter first, it is ``w`` with its largest letter raised, with that
+    letter's multiplicity as coefficient.  Both maps are injective and
+    order-preserving, so the leading word of what remains of ``p`` names
+    the next word of ``q``.  Raises :class:`NotExactDerivativeError` when
+    that leading word is no such image, for example for ``p = Q``, any pure
+    power of ``Q`` or a constant.
     """
     if commutative:
         p = commutative_image(p)
-    if p.is_zero():
-        return ZERO
-    # group the target by (weight, length); D preserves length, raises weight by 1
-    blocks: dict[tuple[int, int], dict[Word, Fraction]] = {}
-    for w, c in p._terms.items():
-        key = (sum(d + 2 for d in w), len(w))
-        blocks.setdefault(key, {})[w] = c
+    rest = dict(p._terms)
     result: dict[Word, Fraction] = {}
-    for (weight, length), target in sorted(blocks.items()):
-        if length == 0 or all(d == 0 for w in target for d in w):
-            # the empty word and pure powers Q^m are never total derivatives
-            raise NotExactDerivativeError(
-                f"weight-{weight} block contains a term outside the image of d/dx"
-            )
-        basis = words_of_weight(weight - 1, length, commutative)
-        basis = [w for w in basis if w]  # drop the empty word if it sneaks in
-        columns = [_derivative_of_word(b, commutative) for b in basis]
-        rows = sorted(
-            {w for col in columns for w in col} | set(target), key=_word_key
-        )
-        row_index = {w: i for i, w in enumerate(rows)}
-        m, n = len(rows), len(basis)
-        mat = [[Fraction(0)] * n for _ in range(m)]
-        for j, col in enumerate(columns):
-            for w, mult in col.items():
-                mat[row_index[w]][j] = Fraction(mult)
-        rhs = [Fraction(0)] * m
-        for w, c in target.items():
-            rhs[row_index[w]] = c
-        sol = _solve_exact(mat, rhs)
-        if sol is None:
-            raise NotExactDerivativeError(
-                f"no exact antiderivative for the weight-{weight}, length-{length} block"
-            )
-        for b, x in zip(basis, sol):
-            if x:
-                result[b] = result.get(b, Fraction(0)) + x
+    while rest:
+        if commutative:
+            u = max(rest, key=lambda w: w[::-1])
+            top = u[-1] if u else 0
+            if top == 0 or u[-2:-1] == (top,):
+                raise NotExactDerivativeError(f"{u} is not the leading word of a derivative")
+            w = u[:-1] + (top - 1,)
+            c = rest[u] / w.count(top - 1)
+        else:
+            u = max(rest)
+            if not u or u[0] == 0:
+                raise NotExactDerivativeError(f"{u} is not the leading word of a derivative")
+            w = (u[0] - 1,) + u[1:]
+            c = rest[u]
+        result[w] = c
+        for i in range(len(w)):
+            dw = w[:i] + (w[i] + 1,) + w[i + 1:]
+            if commutative:
+                dw = tuple(sorted(dw))
+            acc = rest.pop(dw, Fraction(0)) - c
+            if acc:
+                rest[dw] = acc
     return DiffPoly(result)
-
-
-def _solve_exact(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Gaussian elimination over Fraction; None if the system is inconsistent.
-
-    The derivative map is injective on positive-weight words, so when a
-    solution exists it is unique; free columns would indicate a bug.
-    """
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    piv_rows: list[int] = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][col]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        piv_rows.append(col)
-        r += 1
-        if r == m:
-            break
-    # consistency: rows beyond rank must have zero rhs
-    for i in range(m):
-        if all(aug[i][j] == 0 for j in range(n)) and aug[i][n] != 0:
-            return None
-    if len(piv_rows) < n:
-        # should not happen: d/dx is injective away from constants
-        raise AssertionError("antiderivative system is rank deficient")
-    sol = [Fraction(0)] * n
-    for i, col in enumerate(piv_rows):
-        sol[col] = aug[i][n]
-    return sol
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,9 @@ agreement check is exact, not numeric.  Normalisation: ``[a_0] = 1``,
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 from . import diffpoly as dp
 from .diffpoly import DiffPoly
@@ -67,8 +65,7 @@ def matrix_element(m: int, n: int) -> DiffPoly:
 class TaylorTable:
     """Memoised table of the Taylor coefficients ``<n|a_k>``.
 
-    Entries are homogeneous of weight ``2k + n``.  The table can be persisted
-    as JSON so expensive high-order rows are shared across CLI invocations.
+    Entries are homogeneous of weight ``2k + n``.
     """
 
     def __init__(self):
@@ -94,21 +91,6 @@ class TaylorTable:
             val = Fraction(k, k + n) * acc
         self._entries[key] = val
         return val
-
-    def save(self, path: str | Path) -> None:
-        payload = {
-            f"{k},{n}": poly.to_json_obj() for (k, n), poly in self._entries.items()
-        }
-        Path(path).write_text(json.dumps(payload, indent=1, sort_keys=True))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "TaylorTable":
-        table = cls()
-        payload = json.loads(Path(path).read_text())
-        for key, obj in payload.items():
-            k, n = (int(s) for s in key.split(","))
-            table._entries[(k, n)] = DiffPoly.from_json_obj(obj)
-        return table
 
 
 _DEFAULT_TABLE = TaylorTable()

@@ -38,6 +38,13 @@ _EXP_CUT = 45.0
 
 # ----------------------------------------------------------------- problem
 
+def _json_int(value, name: str) -> int:
+    """A JSON integer; floats such as 1.5 are refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class SpectralProblem:
     """Potential bundle on a circle of radius a: the data of -D^2 + Q."""
@@ -92,17 +99,19 @@ class SpectralProblem:
     def from_json_obj(cls, obj: dict) -> "SpectralProblem":
         try:
             a = float(obj["a"])
-            dim = int(obj["N"])
+            dim = _json_int(obj["N"], "N")
             raw = obj["modes"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"problem JSON missing field: {exc}") from exc
         given: dict[int, np.ndarray] = {}
         for entry in raw:
-            n = int(entry["n"])
+            n = _json_int(entry["n"], "mode index n")
             m = np.array(
                 [[complex(re, im) for re, im in row] for row in entry["matrix"]],
                 dtype=complex,
             )
+            if not np.isfinite(m).all():
+                raise ValueError(f"mode {n}: matrix entries must be finite")
             if m.shape != (dim, dim):
                 raise ValueError(f"mode {n}: matrix shape {m.shape} != ({dim},{dim})")
             if n in given:

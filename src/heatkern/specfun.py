@@ -81,24 +81,6 @@ def theta(t: float, config: SpecialFunctionConfig = DEFAULT_CONFIG) -> float:
     return math.sqrt(t / math.pi) * (1.0 + 2.0 * tail)
 
 
-@dataclass(frozen=True)
-class ThetaValue:
-    """A checked (argument, value) pair for the lattice sum ``theta``."""
-
-    t: float
-    value: float
-
-    def __post_init__(self) -> None:
-        if self.t <= 0.0:
-            raise ValueError("theta argument must be positive")
-        if self.value < 1.0:
-            raise ValueError("theta values are >= 1 by positivity of the sum")
-
-    @classmethod
-    def at(cls, t: float, config: SpecialFunctionConfig = DEFAULT_CONFIG) -> "ThetaValue":
-        return cls(t=float(t), value=theta(t, config))
-
-
 @lru_cache(maxsize=None)
 def _unit_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights transplanted from [-1, 1] to [0, 1]."""
@@ -138,37 +120,16 @@ def _alpha_series_scalar(z: float, config: SpecialFunctionConfig) -> float:
     return total
 
 
-def _alpha_matrix(z: np.ndarray, config: SpecialFunctionConfig) -> np.ndarray:
-    # Same series with matrix powers; alpha is entire so this converges for
-    # every square matrix, with the usual cancellation caveat once the
-    # spectral radius exceeds the scalar series radius.
-    z = np.asarray(z)
-    if z.ndim != 2 or z.shape[0] != z.shape[1]:
-        raise ValueError("matrix argument must be square")
-    dtype = np.result_type(z.dtype, np.float64)
-    term = np.eye(z.shape[0], dtype=dtype)
-    total = term.copy()
-    for k in range(500):
-        term = term @ z * (-1.0 / (2.0 * (2 * k + 3)))
-        total += term
-        if np.max(np.abs(term)) <= config.tolerance * max(1.0, np.max(np.abs(total))):
-            break
-    return total
-
-
-def alpha(z, config: SpecialFunctionConfig = DEFAULT_CONFIG):
+def alpha(z: float, config: SpecialFunctionConfig = DEFAULT_CONFIG) -> float:
     """The entire function  int_0^1 exp(-(1 - xi^2) z / 4) dxi.
 
     alpha(0) = 1,  alpha(z) = 1 - z/6 + O(z^2),  z*alpha(z) -> 2 as z -> +inf,
     and it satisfies  4 alpha' + (1 + 2/z) alpha = 2/z.
 
-    Scalars use the power series for z <= series radius (for negative z the
-    terms are one-signed, so the series is stable however large -z gets,
-    up to overflow near z ~ -2800) and endpoint-safe quadrature beyond it.
-    A square ndarray is mapped through the same series with matrix powers.
+    Uses the power series for z <= series radius (for negative z the terms
+    are one-signed, so the series is stable however large -z gets, up to
+    overflow near z ~ -2800) and endpoint-safe quadrature beyond it.
     """
-    if isinstance(z, np.ndarray) and z.ndim == 2:
-        return _alpha_matrix(z, config)
     z = float(z)
     if z <= config.alpha_series_radius:
         return _alpha_series_scalar(z, config)

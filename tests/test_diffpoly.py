@@ -20,7 +20,6 @@ from heatkern.diffpoly import (
     make,
     min_grid,
     mul,
-    words_of_weight,
 )
 from heatkern.errors import AliasingError, NotExactDerivativeError
 from heatkern.periodic import PeriodicFunction
@@ -95,16 +94,6 @@ def test_weight_grading():
     assert q.weights() == {2, 6}
 
 
-def test_words_of_weight_counts():
-    # weight w, length 1: the single word (w - 2,) for w >= 2
-    assert words_of_weight(5, 1) == [(3,)]
-    # length 2, weight 6: compositions of 6 - 4 = 2 into 2 ordered parts
-    assert set(words_of_weight(6, 2)) == {(0, 2), (1, 1), (2, 0)}
-    # commutative variant merges mirror pairs
-    assert set(words_of_weight(6, 2, commutative=True)) == {(0, 2), (1, 1)}
-    assert words_of_weight(3, 2) == []
-
-
 # -- antiderivative ----------------------------------------------------------------
 
 
@@ -128,6 +117,22 @@ def test_antiderivative_commutative_route(p):
     assert commutative_image(differentiate(q)) == dp
 
 
+@given(polys, st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_antiderivative_exact_or_refused(p, commutative):
+    # arbitrary input, mostly not a derivative: either a refusal or a
+    # primitive without constant term that differentiates back to p
+    if commutative:
+        p = commutative_image(p)
+    try:
+        q = antiderivative(p, commutative=commutative)
+    except NotExactDerivativeError:
+        return
+    dq = differentiate(q)
+    assert (commutative_image(dq) if commutative else dq) == p
+    assert q.coefficient(()) == 0
+
+
 def test_antiderivative_refuses_non_derivatives():
     with pytest.raises(NotExactDerivativeError):
         antiderivative(make(1, (0,)))  # Q has no polynomial primitive
@@ -135,6 +140,9 @@ def test_antiderivative_refuses_non_derivatives():
         antiderivative(IDENTITY)  # constants do not integrate to periodic words
     with pytest.raises(NotExactDerivativeError):
         antiderivative(make(1, (0, 0)))  # Q*Q: the primitive of a square is not polynomial
+    for word in ((1, 1), (0, 0, 0)):  # Q'^2 and Q^3 in the commutative quotient
+        with pytest.raises(NotExactDerivativeError):
+            antiderivative(make(1, word), commutative=True)
 
 
 def test_antiderivative_known_case():

@@ -16,7 +16,6 @@ from heatkern.diffpoly import (
     min_grid,
 )
 from heatkern.heatcoeffs import (
-    TaylorTable,
     apply_E,
     diagonal_coefficient_recursive,
     global_invariant,
@@ -127,16 +126,6 @@ def test_quadratic_sector():
         assert reduced == {2 * k - 4: leading_quadratic_coefficient(k)}
     assert leading_quadratic_coefficient(2) == 1
     assert leading_quadratic_coefficient(3) == Fraction(-1, 2)
-
-
-def test_taylor_table_round_trip(tmp_path):
-    table = TaylorTable()
-    table.entry(3, 0)
-    path = tmp_path / "table.json"
-    table.save(path)
-    loaded = TaylorTable.load(path)
-    assert loaded.entry(3, 0) == table.entry(3, 0)
-    assert loaded.entry(2, 1) == table.entry(2, 1)
 
 
 def test_global_invariants_constant_potential():

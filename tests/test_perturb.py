@@ -96,13 +96,20 @@ def test_omega_exact2_error_scales_as_eps4():
 # ---------------------------------------------------------------- bq_gamma
 
 def test_bq_gamma_unpacks_and_carries_scale():
-    prob = two_eps_cosine(0.05)
-    corr = bq_gamma(prob, 0.5, -4.0)
-    assert isinstance(corr, SpectralCorrection)
-    b, g = corr
-    assert b == corr.b_q and g == corr.gamma
-    assert corr.gamma == pytest.approx(corr.b_q, abs=1e-15)  # q = 1/2 case
-    assert corr.scale == pytest.approx(2.0)
+    # 2x2 Hermitian potential of bandwidth 2 with noncommuting modes
+    matrix = SpectralProblem.from_potential(PeriodicFunction.from_modes(1.0, {
+        0: [[0.3, 0.1 - 0.2j], [0.1 + 0.2j, -0.4]],
+        1: [[0.1j, 0.2], [-0.05, 0.15]],
+        2: [[0.05, -0.1j], [0.08, 0.02 + 0.03j]],
+    }))
+    for prob in (two_eps_cosine(0.05), matrix):
+        corr = bq_gamma(prob, 0.5, -4.0)
+        assert isinstance(corr, SpectralCorrection)
+        b, g = corr
+        assert b == corr.b_q and g == corr.gamma
+        # q = 1/2 reduction: f_{-3/2}(z) = 4/(z+4) turns b_q into gamma
+        assert corr.gamma == pytest.approx(corr.b_q, abs=1e-15)
+        assert corr.scale == pytest.approx(2.0)
 
 
 def test_bq_gamma_domain():

@@ -14,7 +14,6 @@ from scipy.special import dawsn, erf
 from heatkern.specfun import (
     DEFAULT_CONFIG,
     SpecialFunctionConfig,
-    ThetaValue,
     alpha,
     alpha_ode_residual,
     alpha_prime,
@@ -56,13 +55,7 @@ def test_theta_domain_and_invariant():
     with pytest.raises(ValueError):
         theta(-1.0)
     for t in (0.01, 1.0, 3.0, 100.0):
-        v = ThetaValue.at(t)
-        assert v.value >= 1.0
-
-
-def test_theta_value_rejects_bad_pairs():
-    with pytest.raises(ValueError):
-        ThetaValue(t=1.0, value=0.5)
+        assert theta(t) >= 1.0
 
 
 # -- alpha -----------------------------------------------------------------
@@ -111,16 +104,6 @@ def test_alpha_prime_is_derivative():
         h = 1e-5 * max(1.0, z)
         fd = (alpha(z + h) - alpha(z - h)) / (2 * h)
         assert abs(alpha_prime(z) - fd) < 1e-8 * max(1.0, abs(fd))
-
-
-def test_alpha_matrix_argument():
-    rng = np.random.default_rng(2)
-    m = rng.normal(size=(3, 3))
-    m = (m + m.T) / 2 * 4.0
-    vals, vecs = np.linalg.eigh(m)
-    expected = vecs @ np.diag([_alpha_oracle(v) for v in vals]) @ vecs.T
-    got = alpha(m)
-    assert np.max(np.abs(got - expected)) < 1e-11
 
 
 # -- f_q -----------------------------------------------------------------
