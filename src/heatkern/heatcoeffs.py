@@ -192,6 +192,10 @@ class GlobalInvariant:
     grid: int
 
 
+_INVARIANT_CACHE: dict[tuple, GlobalInvariant] = {}
+_INVARIANT_CACHE_SIZE = 256
+
+
 def global_invariant(k: int, Q: PeriodicFunction, grid: int | None = None) -> GlobalInvariant:
     """Evaluate ``A_k`` for a band-limited potential.
 
@@ -199,13 +203,24 @@ def global_invariant(k: int, Q: PeriodicFunction, grid: int | None = None) -> Gl
     ``[a_k]`` at the potential's bandwidth (rounded up to an FFT-friendly
     even size), so the circle integral -- the zero Fourier mode times
     ``2*pi*a`` -- is exact up to round-off.
+
+    Results are memoised on ``(k, grid)`` and the potential's exact content
+    (radius and mode bytes, never its ``id``), so sweeps over lambda or t
+    evaluate each ``A_k`` once; it holds the 256 newest values.
     """
+    key = (k, grid) + Q.content_key()
+    got = _INVARIANT_CACHE.get(key)
+    if got is not None:
+        return got
     poly = taylor_coefficient(k, 0)
-    need = dp.min_grid(poly, Q.bandwidth)
     if grid is None:
-        grid = 1 << max(3, (need - 1).bit_length())
+        grid = 1 << max(3, (dp.min_grid(poly, Q.bandwidth) - 1).bit_length())
     density = dp.evaluate(poly, Q, grid)
-    return GlobalInvariant(k=k, value=density.trace_integral(), grid=grid)
+    got = GlobalInvariant(k=k, value=density.trace_integral(), grid=grid)
+    if len(_INVARIANT_CACHE) >= _INVARIANT_CACHE_SIZE:
+        del _INVARIANT_CACHE[next(iter(_INVARIANT_CACHE))]
+    _INVARIANT_CACHE[key] = got
+    return got
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Brute-force spectral ground truth for -D^2 + Q on the circle.
 
-A plane-wave Galerkin truncation turns the operator into a finite Hermitian
-matrix; its eigenvalues feed everything downstream:
+A plane-wave Galerkin truncation, modes ordered 0, 1, -1, 2, -2, ... so the
+diagonal ascends, turns the operator into a Hermitian band matrix that
+LAPACK's banded solver reads in lower band storage (the graded order keeps
+the small eigenvalues accurate).  Its eigenvalues feed everything downstream:
 
 * ``heat_trace`` / ``omega``      -- exponential sums with explicit refusal
   when the truncation cannot support the requested time,
@@ -26,7 +28,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import linalg, special
-from scipy.integrate import solve_ivp
 
 from .errors import ResolutionError
 from .heatcoeffs import global_invariant
@@ -65,6 +66,9 @@ class SpectralProblem:
             )
         if abs(self.Q.a - self.a) > 1e-12 * abs(self.a):
             raise ValueError("potential radius disagrees with problem radius")
+        # the band solver reads one triangle only: refuse, never symmetrise
+        if not self.Q.is_hermitian():
+            raise ValueError("potential violates q_{-n} = q_n^dagger")
 
     @property
     def bandwidth(self) -> int:
@@ -103,13 +107,21 @@ class SpectralProblem:
             raw = obj["modes"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"problem JSON missing field: {exc}") from exc
+        if dim < 1:
+            raise ValueError("N must be >= 1")
+        if not isinstance(raw, list):
+            raise ValueError("modes must be a list of {n, matrix} objects")
         given: dict[int, np.ndarray] = {}
         for entry in raw:
+            if not (isinstance(entry, dict) and "n" in entry and "matrix" in entry):
+                raise ValueError("every mode entry must be an object with n and matrix")
             n = _json_int(entry["n"], "mode index n")
-            m = np.array(
-                [[complex(re, im) for re, im in row] for row in entry["matrix"]],
-                dtype=complex,
-            )
+            try:
+                m = np.array([[complex(re, im) for re, im in row]
+                              for row in entry["matrix"]], dtype=complex)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"mode {n}: matrix must be N rows of N [re, im] pairs") from exc
             if not np.isfinite(m).all():
                 raise ValueError(f"mode {n}: matrix entries must be finite")
             if m.shape != (dim, dim):
@@ -137,11 +149,19 @@ class SpectralProblem:
 
 # -------------------------------------------------------------- eigenvalues
 
-def assemble(problem: SpectralProblem, n_max: int) -> np.ndarray:
-    """Dense Hermitian Galerkin matrix on plane waves |n| <= n_max.
+def _graded(n: np.ndarray) -> np.ndarray:
+    """Block position of mode n in the order 0, 1, -1, 2, -2, ..."""
+    return 2 * np.abs(n) - (n > 0)
 
-    Block (n, m) is (n/a)^2 delta_{nm} + q_{n-m}; refuses n_max below the
-    potential bandwidth, where the matrix would silently drop couplings.
+
+def assemble(problem: SpectralProblem, n_max: int) -> np.ndarray:
+    """Hermitian Galerkin matrix on plane waves |n| <= n_max, in LAPACK lower
+    band storage: ``ab[i - j, j] = H[i, j]`` for ``0 <= i - j <= kd``.
+
+    Block (n, m) is (n/a)^2 delta_{nm} + q_{n-m}, with mode n at block
+    position 2|n| - [n > 0], so the diagonal ascends and the band height is
+    kd = (2B+1)N - 1.  Refuses n_max below the potential bandwidth, where
+    the matrix would silently drop couplings.
     """
     bw = problem.bandwidth
     if n_max < bw:
@@ -150,23 +170,21 @@ def assemble(problem: SpectralProblem, n_max: int) -> np.ndarray:
             suggestion={"n_max": bw},
         )
     N = problem.dim
-    size = (2 * n_max + 1) * N
-    H = np.zeros((size, size), dtype=complex)
-    inv_a2 = 1.0 / problem.a ** 2
-    for n in range(-n_max, n_max + 1):
-        i = (n + n_max) * N
-        H[i:i + N, i:i + N] += (n * n * inv_a2) * np.eye(N)
+    ab = np.zeros(((2 * bw + 1) * N, (2 * n_max + 1) * N), dtype=complex)
+    ns = (np.arange(2 * n_max + 1) + 1) // 2          # |n| at each block
+    ab[0] = np.repeat((ns * ns) * (1.0 / problem.a ** 2), N)
+    alpha, beta = np.divmod(np.arange(N * N), N)
     for k in range(-bw, bw + 1):
         qk = problem.Q.mode(k)
         if not np.any(qk):
             continue
-        for n in range(max(-n_max, -n_max + k), min(n_max, n_max + k) + 1):
-            i = (n + n_max) * N
-            j = (n - k + n_max) * N
-            H[i:i + N, j:j + N] += qk
-    scale = max(1.0, float(np.max(np.abs(H))))
-    assert float(np.max(np.abs(H - H.conj().T))) <= 1e-14 * scale
-    return H
+        n = np.arange(max(-n_max, k - n_max), min(n_max, n_max + k) + 1)
+        rows = (_graded(n) * N)[:, None] + alpha
+        cols = (_graded(n - k) * N)[:, None] + beta
+        lower = rows >= cols
+        ab[(rows - cols)[lower], cols[lower]] += np.broadcast_to(
+            qk[alpha, beta], rows.shape)[lower]
+    return ab
 
 
 @dataclass(frozen=True)
@@ -200,8 +218,7 @@ class EigenData:
 
 
 def eigendata(problem: SpectralProblem, n_max: int) -> EigenData:
-    H = assemble(problem, n_max)
-    vals = np.linalg.eigvalsh(H)
+    vals = linalg.eigvals_banded(assemble(problem, n_max), lower=True)
     q0e = np.linalg.eigvalsh(problem.Q.mean())
     return EigenData(
         n_max=n_max,
@@ -485,6 +502,8 @@ def floquet_log_det(problem: SpectralProblem, lam: float,
     if problem.dim != 1:
         raise ValueError("period-map determinant implemented for dim = 1 only")
     import cmath
+
+    from scipy.integrate import solve_ivp
 
     a = problem.a
     period = 2.0 * math.pi * a

@@ -129,6 +129,10 @@ class PeriodicFunction:
             if self._modes[n].any()
         }
 
+    def content_key(self) -> tuple:
+        """Hashable key of the radius and the exact mode data (bytes)."""
+        return (self.a, self._modes.shape, self._modes.tobytes())
+
     def is_hermitian(self, tol: float = _HERM_TOL) -> bool:
         b = self.bandwidth
         scale = max(1.0, float(np.max(np.abs(self._modes))) if self._modes.size else 1.0)

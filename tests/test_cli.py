@@ -5,6 +5,8 @@ import math
 import subprocess
 import sys
 
+import pytest
+
 from heatkern import cli
 
 
@@ -112,6 +114,28 @@ def test_non_finite_or_non_integer_problem_data_is_config_error(tmp_path, capsys
             assert (code, out) == (2, ""), obj
             assert len(err.splitlines()) == 1
             assert json.loads(err)["error"] == "config"
+
+
+@pytest.mark.parametrize("obj, reason", [
+    ({"a": 1.0, "N": 1, "modes": [{"matrix": [[[0.5, 0.0]]]}]}, "with n and matrix"),
+    ({"a": 1.0, "N": 1, "modes": {"n": 1, "matrix": [[[0.5, 0.0]]]}}, "must be a list"),
+    ({"a": 1.0, "N": 1, "modes": [{"n": 1, "matrix": [[0.5, 0.0]]}]}, "[re, im] pairs"),
+    ({"a": 1.0, "N": 0, "modes": []}, "N must be >= 1"),
+], ids=["no-n", "modes-object", "matrix-too-flat", "N-zero"])
+def test_malformed_problem_schema_is_config_error(tmp_path, capsys, obj, reason):
+    path = write_problem(tmp_path, "bad.json", obj)
+    code, out, err = run_cli(["invariants", "--k", "2", "--problem", path], capsys)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "config" and reason in payload["reason"]
+
+
+def test_cli_import_skips_scipy_integrate():
+    probe = "import sys, heatkern.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "False\n"
 
 
 def test_bad_flag_is_config_error(capsys):

@@ -148,6 +148,25 @@ def test_global_invariants_cosine():
     assert abs(global_invariant(3, Qc).value - np.pi / 2) < 1e-12
 
 
+def test_global_invariant_memo_is_keyed_by_content(monkeypatch):
+    import heatkern.diffpoly as dp
+
+    calls = []
+    real = dp.evaluate
+    monkeypatch.setattr(dp, "evaluate", lambda *args: calls.append(args) or real(*args))
+    q0, q1 = np.array([[0.3]]), np.array([[0.2 + 0.1j]])
+    Qa = PeriodicFunction.from_modes(1.25, {0: q0, 1: q1})
+    first = global_invariant(4, Qa)
+    again = global_invariant(4, PeriodicFunction.from_modes(1.25, {0: q0, 1: q1}))
+    assert again == first and len(calls) == 1
+    nudged = np.array([[np.nextafter(0.2, 1.0) + 0.1j]])
+    global_invariant(4, PeriodicFunction.from_modes(1.25, {0: q0, 1: nudged}))
+    assert len(calls) == 2
+    other_grid = global_invariant(4, Qa, grid=2 * first.grid)
+    assert len(calls) == 3 and other_grid.grid == 2 * first.grid
+    assert abs(other_grid.value - first.value) <= 1e-12 * abs(first.value)
+
+
 def test_evaluate_diagonal_coefficient_hermitian():
     rng = np.random.default_rng(5)
     raw = {0: None, 1: None}

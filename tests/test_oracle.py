@@ -41,10 +41,66 @@ def constant_problem(c, a=1.0):
         PeriodicFunction.constant(a, np.array([[c]], dtype=complex)))
 
 
+def random_problem(seed, dim, bandwidth, a=1.0, total_norm=0.9):
+    """Hermitian potential with sum_n ||q_n||_F <= total_norm."""
+    rng = np.random.default_rng(seed)
+    modes = {}
+    for n in range(bandwidth + 1):
+        q = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        modes[n] = q + q.conj().T if n == 0 else q
+    scale = total_norm / sum(np.linalg.norm(q) * (1 if n == 0 else 2)
+                             for n, q in modes.items())
+    Q = PeriodicFunction.from_modes(a, {n: scale * q for n, q in modes.items()}, dim)
+    return SpectralProblem.from_potential(Q)
+
+
+def dense_galerkin(problem, n_max):
+    """The Galerkin matrix in the natural mode order -n_max..n_max."""
+    N = problem.dim
+    H = np.zeros(((2 * n_max + 1) * N,) * 2, dtype=complex)
+    for n in range(-n_max, n_max + 1):
+        for m in range(-n_max, n_max + 1):
+            block = problem.Q.mode(n - m) + (n == m) * n * n / problem.a ** 2 * np.eye(N)
+            H[(n + n_max) * N:(n + n_max + 1) * N, (m + n_max) * N:(m + n_max + 1) * N] = block
+    return H
+
+
 def test_free_assemble_diagonal():
-    H = assemble(SpectralProblem.free(1.0), 2)
-    assert np.allclose(np.diag(H), [4.0, 1.0, 0.0, 1.0, 4.0])
-    assert np.max(np.abs(H - np.diag(np.diag(H)))) == 0.0
+    ab = assemble(SpectralProblem.free(1.0), 2)
+    assert ab.shape == (1, 5)
+    assert np.array_equal(ab[0], [0.0, 1.0, 1.0, 4.0, 4.0])
+    ab = assemble(SpectralProblem.free(1.0, dim=2), 2)
+    assert ab.shape == (2, 10)
+    assert np.array_equal(ab[0], np.repeat([0.0, 1.0, 1.0, 4.0, 4.0], 2))
+    assert not np.any(ab[1:])
+
+
+@pytest.mark.parametrize("problem", [
+    SpectralProblem.free(1.0),
+    random_problem(1, 1, 2, a=1.3),
+    random_problem(2, 2, 3, a=0.8),
+], ids=["free", "scalar-bw2", "2x2-bw3"])
+def test_eigendata_matches_dense_eigvalsh(problem):
+    for n_max in (problem.bandwidth, problem.bandwidth + 1, 9):
+        ref = np.linalg.eigvalsh(dense_galerkin(problem, n_max))
+        got = eigendata(problem, n_max).eigenvalues
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+def test_graded_band_keeps_low_eigenvalues():
+    # large truncations must not cost the low end its accuracy
+    problem = random_problem(7, 2, 3)
+    lo = eigendata(problem, 60).eigenvalues[:20]
+    hi = eigendata(problem, 400).eigenvalues[:20]
+    assert np.max(np.abs(hi - lo)) <= 1e-11
+
+
+def test_non_hermitian_potential_is_refused():
+    modes = np.zeros((3, 1, 1), dtype=complex)
+    modes[0, 0, 0], modes[2, 0, 0] = 0.5, 0.25    # q_{-1} != conj(q_1)
+    Q = PeriodicFunction(1.0, modes, check_hermitian=False)
+    with pytest.raises(ValueError, match="q_n"):
+        SpectralProblem.from_potential(Q)
 
 
 def test_assemble_refuses_below_bandwidth():
