@@ -6,8 +6,7 @@ potential ``Q``; the empty word is the identity.  A :class:`DiffPoly` is a
 finite rational linear combination of words, kept in a canonical form
 (zero coefficients dropped, terms ordered by word length then by the
 derivative-order sequence).  All coefficient arithmetic is exact
-(`fractions.Fraction`), so equality of polynomials is decidable and
-serialisation round-trips bit-for-bit.
+(`fractions.Fraction`), so equality of polynomials is decidable.
 
 The grading used throughout: letter ``d`` has weight ``d + 2``, the weight
 of a word is the sum over its letters and the empty word has weight 0.
@@ -193,22 +192,6 @@ class DiffPoly:
         if isinstance(other, DiffPoly):
             return NotImplemented
         return self.__mul__(other)
-
-    # -- serialisation ---------------------------------------------------
-
-    def to_json_obj(self) -> list[dict]:
-        return [
-            {"coeff": str(m.coeff), "word": list(m.word)} for m in self.terms()
-        ]
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "DiffPoly":
-        terms: dict[Word, Fraction] = {}
-        for entry in obj:
-            word = tuple(int(d) for d in entry["word"])
-            coeff = Fraction(entry["coeff"])
-            terms[word] = terms.get(word, Fraction(0)) + coeff
-        return cls(terms)
 
 
 ZERO = DiffPoly()

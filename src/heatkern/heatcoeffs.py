@@ -37,8 +37,6 @@ __all__ = [
     "w_coefficient",
     "GlobalInvariant",
     "global_invariant",
-    "quadratic_part_reduced",
-    "leading_quadratic_coefficient",
 ]
 
 _Q = dp.make(1, (0,))
@@ -221,38 +219,3 @@ def global_invariant(k: int, Q: PeriodicFunction, grid: int | None = None) -> Gl
         del _INVARIANT_CACHE[next(iter(_INVARIANT_CACHE))]
     _INVARIANT_CACHE[key] = got
     return got
-
-
-# ---------------------------------------------------------------------------
-# structure checks used by the test-suite
-# ---------------------------------------------------------------------------
-
-
-def quadratic_part_reduced(p: DiffPoly) -> dict[int, Fraction]:
-    """Reduce the length-2 words of ``p`` modulo total derivatives and trace
-    cyclicity.
-
-    Under the circle integral of the trace, ``Q^(i) Q^(j)`` is equivalent to
-    ``(-1)^i Q Q^(i+j)``; the returned map sends the total derivative count
-    ``i + j`` to the reduced coefficient of ``tr(Q Q^(i+j))``.
-    """
-    out: dict[int, Fraction] = {}
-    for mono in p.terms():
-        if len(mono.word) != 2:
-            continue
-        i, j = mono.word
-        d = i + j
-        out[d] = out.get(d, Fraction(0)) + mono.coeff * (-1) ** i
-    return {d: c for d, c in out.items() if c}
-
-
-def leading_quadratic_coefficient(k: int) -> Fraction:
-    """Predicted reduced coefficient of ``tr(Q Q^(2k-4))`` in ``[a_k]``:
-
-    ``(-1)^k k! (k-1)! / (2k-2)!`` from the resummed leading-derivative form
-    of the quadratic sector.
-    """
-    if k < 2:
-        raise ValueError("quadratic sector starts at k = 2")
-    return Fraction((-1) ** k * math.factorial(k) * math.factorial(k - 1),
-                    math.factorial(2 * k - 2))

@@ -45,7 +45,6 @@ __all__ = [
     "invariant_rescale",
     "gradient_rescale",
     "variational_derivative",
-    "kdv_rhs",
     "trace_pairing",
     "suggested_steps",
     "integrate_flow",
@@ -98,13 +97,6 @@ def variational_derivative(k: int, Q: PeriodicFunction, *, rescaled: bool = Fals
     return dp.evaluate(poly, Q, grid) * scale
 
 
-def kdv_rhs(k: int, Q: PeriodicFunction, grid: int | None = None) -> PeriodicFunction:
-    """Right-hand side ``D(dI_k/dQ)`` of flow ``k`` at the potential ``Q``."""
-    if Q.matrix_dim != 1:
-        raise ValueError("flows are scalar-only")
-    return variational_derivative(k, Q, rescaled=True, grid=grid).derivative()
-
-
 def trace_pairing(f: PeriodicFunction, g: PeriodicFunction) -> float:
     """Exact circle integral ``integral tr(f(x) g(x)) dx`` for band-limited factors."""
     if f.matrix_dim != g.matrix_dim:
@@ -154,6 +146,7 @@ def _flow_operator(k: int, a: float, grid: int):
         else:
             words.append((mono.word, float(mono.coeff)))
     lin = float(gradient_rescale(k) * lin_coeff) * ik ** (2 * k - 1)
+    powers = {d: ik ** d for word, _ in words for d in word}
 
     def trunc(spec: np.ndarray) -> np.ndarray:
         out = spec.copy()
@@ -165,7 +158,7 @@ def _flow_operator(k: int, a: float, grid: int):
 
         def phys(d: int) -> np.ndarray:
             if d not in derivs:
-                derivs[d] = np.fft.irfft(u_hat * ik ** d, grid)
+                derivs[d] = np.fft.irfft(u_hat * powers[d], grid)
             return derivs[d]
 
         acc = np.zeros(grid // 2 + 1, dtype=complex)

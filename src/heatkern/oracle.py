@@ -23,7 +23,7 @@ of mode n is (n/a)^2, eigenvalues are reported sorted ascending.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -81,23 +81,6 @@ class SpectralProblem:
     @classmethod
     def from_potential(cls, Q: PeriodicFunction) -> "SpectralProblem":
         return cls(a=Q.a, dim=Q.matrix_dim, Q=Q)
-
-    def to_json_obj(self) -> dict:
-        """JSON form: {a, N, modes: [{n, matrix: [[[re, im], ...], ...]}]}.
-
-        Only modes n >= 0 are written; readers complete q_{-n} = q_n^dagger.
-        """
-        modes = []
-        for n in range(self.bandwidth + 1):
-            m = self.Q.mode(n)
-            if n > 0 and not np.any(m):
-                continue
-            modes.append({
-                "n": n,
-                "matrix": [[[float(z.real), float(z.imag)] for z in row]
-                           for row in m],
-            })
-        return {"a": self.a, "N": self.dim, "modes": modes}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SpectralProblem":
@@ -358,9 +341,6 @@ class MellinPlan:
         t_star = min(problem.a ** 2 / 4.0, 0.2 / max(1.0, -lam))
         return cls(t_star=t_star)
 
-    def halved(self) -> "MellinPlan":
-        return replace(self, t_star=self.t_star / 2.0)
-
 
 @lru_cache(maxsize=8)
 def _laguerre_rule(nodes: int):
@@ -570,23 +550,71 @@ def _parity_tridiagonals(problem: SpectralProblem, n_max: int):
     return diag_even, offsq_even, diag_odd, offsq_odd
 
 
+def _window_edge(diag, off, centre: int, seed: float, log_tol: float,
+                 step: int) -> int:
+    """Last row to keep when walking from ``centre`` in direction ``step``.
+
+    Beyond a row j of T - seed that is diagonally dominant (|d_j - seed| -
+    |e_outer| > |e_link|), an eigenvector decays by at most
+    |e_link| / (|d_j - seed| - |e_outer|) per row, and cutting the link
+    to row j moves the eigenvalue, to first order, by at most (decay
+    product so far) * e_link^2 / (|d_j - seed| - |e_outer|).  The walk
+    stops once that estimate is below exp(log_tol); a row that is not
+    dominant restarts the product, and without dominance the walk reaches
+    the matrix edge.
+    """
+    n = len(diag)
+    log_decay = 0.0
+    i = centre
+    while 0 <= i + step < n:
+        j = i + step
+        link = off[min(i, j)]
+        outer = off[min(j, j + step)] if 0 <= j + step < n else 0.0
+        margin = abs(diag[j] - seed) - outer
+        if margin > link:
+            if link == 0.0:
+                return i
+            log_ratio = math.log(link) - math.log(margin)
+            if log_decay + log_ratio + math.log(link) <= log_tol:
+                return i
+            log_decay += 2.0 * log_ratio
+        else:
+            log_decay = 0.0
+        i = j
+    return i
+
+
 def _newton_refine_tridiagonal(diag, offsq, seeds, dps: int):
     """Refine float64 eigenvalue seeds of a symmetric tridiagonal matrix to
     dps digits via Newton on the characteristic-polynomial recurrence.
-    ``offsq`` carries the squared couplings (float-to-mpf is exact)."""
+    ``offsq`` carries the squared couplings (float-to-mpf is exact).
+
+    Each seed's recurrence runs only over a window of rows around the row
+    whose diagonal is nearest the seed.  The window ends on each side where
+    the decay bound of :func:`_window_edge` puts the eigenvalue change from
+    the dropped rows below 10^-(dps+4) max(1, |seed|); where diagonal
+    dominance never sets in, it is the whole matrix.  A seed whose Newton
+    iteration does not converge in 8 steps raises ``ArithmeticError``.
+    """
     import mpmath as mp
 
-    n = len(diag)
+    diag_arr = np.asarray(diag, dtype=float)
+    off = np.sqrt(np.asarray(offsq, dtype=float)).tolist()
     d = [mp.mpf(x) for x in diag]
     e2 = [mp.mpf(x) for x in offsq]
     refined = []
     with mp.workdps(dps):
         for seed in seeds:
-            lam = mp.mpf(float(seed))
+            seed = float(seed)
+            centre = int(np.argmin(np.abs(diag_arr - seed)))
+            log_tol = math.log(max(1.0, abs(seed))) - (dps + 4) * math.log(10.0)
+            lo = _window_edge(diag, off, centre, seed, log_tol, -1)
+            hi = _window_edge(diag, off, centre, seed, log_tol, +1)
+            lam = mp.mpf(seed)
             for _ in range(8):
-                p_prev, p = mp.mpf(1), d[0] - lam
+                p_prev, p = mp.mpf(1), d[lo] - lam
                 dp_prev, dp = mp.mpf(0), mp.mpf(-1)
-                for k in range(1, n):
+                for k in range(lo + 1, hi + 1):
                     p_new = (d[k] - lam) * p - e2[k - 1] * p_prev
                     dp_new = -p + (d[k] - lam) * dp - e2[k - 1] * dp_prev
                     p_prev, p = p, p_new
@@ -595,15 +623,23 @@ def _newton_refine_tridiagonal(diag, offsq, seeds, dps: int):
                 lam -= step
                 if abs(step) <= mp.mpf(10) ** (-(dps - 2)) * max(1, abs(lam)):
                     break
+            else:
+                raise ArithmeticError(
+                    f"Newton refinement of seed {seed!r} did not converge "
+                    f"in 8 steps at dps={dps}")
             refined.append(lam)
     return refined
 
 
 def eigenvalues_hp(problem: SpectralProblem, n_max: int, dps: int = 50):
     """All Galerkin eigenvalues (|n| <= n_max) of a real even scalar
-    potential, refined to ``dps`` digits.  Returns a sorted list of mpf."""
-    import mpmath as mp
+    potential, refined to ``dps`` digits.  Returns a sorted list of mpf.
 
+    float64 seeds of the cosine and sine tridiagonal blocks are Newton-refined
+    on a window of rows around each seed, cut where the diagonal-dominance
+    decay bound puts the dropped rows' effect below 10^-(dps+4) relative;
+    where dominance never sets in the window is the whole block.
+    """
     de, oe, do, oo = _parity_tridiagonals(problem, n_max)
     out = []
     for diag, offsq in ((de, oe), (do, oo)):

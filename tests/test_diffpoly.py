@@ -1,6 +1,5 @@
 """Exact-arithmetic checks for the noncommutative differential-polynomial layer."""
 
-import json
 from fractions import Fraction
 
 import numpy as np
@@ -151,19 +150,6 @@ def test_antiderivative_known_case():
     assert antiderivative(p) == make(1, (0, 0))
     # commutative quotient: 2 Q Q' integrates to Q^2
     assert antiderivative(make(2, (0, 1)), commutative=True) == make(1, (0, 0))
-
-
-# -- JSON round trip ----------------------------------------------------------------
-
-
-@given(polys)
-@settings(max_examples=60, deadline=None)
-def test_json_round_trip_exact(p):
-    blob = json.dumps(p.to_json_obj())
-    q = DiffPoly.from_json_obj(json.loads(blob))
-    assert q == p
-    # serialization is canonical: dumping twice gives identical bytes
-    assert json.dumps(q.to_json_obj()) == blob
 
 
 # -- evaluation ----------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Symbolic heat-expansion coefficients: frozen low orders, recursions, invariants."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -19,9 +20,7 @@ from heatkern.heatcoeffs import (
     apply_E,
     diagonal_coefficient_recursive,
     global_invariant,
-    leading_quadratic_coefficient,
     matrix_element,
-    quadratic_part_reduced,
     taylor_coefficient,
     w_coefficient,
 )
@@ -117,6 +116,34 @@ def test_w_identity():
         ak = taylor_coefficient(k, 0)
         assert differentiate(w) == Q * ak - ak * Q
         assert commutative_image(w) == ZERO
+
+
+def quadratic_part_reduced(p: DiffPoly) -> dict[int, Fraction]:
+    """Reduce the length-2 words of ``p`` modulo total derivatives and trace
+    cyclicity.
+
+    Under the circle integral of the trace, ``Q^(i) Q^(j)`` is equivalent to
+    ``(-1)^i Q Q^(i+j)``; the returned map sends the total derivative count
+    ``i + j`` to the reduced coefficient of ``tr(Q Q^(i+j))``.
+    """
+    out: dict[int, Fraction] = {}
+    for mono in p.terms():
+        if len(mono.word) != 2:
+            continue
+        i, j = mono.word
+        d = i + j
+        out[d] = out.get(d, Fraction(0)) + mono.coeff * (-1) ** i
+    return {d: c for d, c in out.items() if c}
+
+
+def leading_quadratic_coefficient(k: int) -> Fraction:
+    """Predicted reduced coefficient of ``tr(Q Q^(2k-4))`` in ``[a_k]``:
+
+    ``(-1)^k k! (k-1)! / (2k-2)!`` from the resummed leading-derivative form
+    of the quadratic sector.
+    """
+    return Fraction((-1) ** k * math.factorial(k) * math.factorial(k - 1),
+                    math.factorial(2 * k - 2))
 
 
 def test_quadratic_sector():

@@ -2,11 +2,14 @@
 independent period-map determinant.  Reference numbers were computed with
 mpmath or closed forms noted inline."""
 
-import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import linalg
 
 from heatkern.errors import ResolutionError
 from heatkern.heatcoeffs import global_invariant
@@ -14,6 +17,8 @@ from heatkern.oracle import (
     EigenData,
     MellinPlan,
     SpectralProblem,
+    _newton_refine_tridiagonal,
+    _parity_tridiagonals,
     assemble,
     b_function,
     eigendata,
@@ -220,7 +225,7 @@ def test_split_point_independence():
     for q in (0.5, -0.7):
         plan = MellinPlan.default(prob, -2.0)
         v1 = b_function(e, prob, q, -2.0, plan)
-        v2 = b_function(e, prob, q, -2.0, plan.halved())
+        v2 = b_function(e, prob, q, -2.0, replace(plan, t_star=plan.t_star / 2.0))
         assert abs(v1 - v2) <= 1e-8
 
 
@@ -301,21 +306,6 @@ def test_floquet_free_closed_form():
 
 # ------------------------------------------------------------ problem JSON
 
-def test_json_round_trip():
-    rng = np.random.default_rng(11)
-    q0 = rng.normal(size=(2, 2))
-    q0 = q0 + q0.T
-    q1 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    Q = PeriodicFunction.from_modes(2.0, {0: q0, 1: q1})
-    prob = SpectralProblem.from_potential(Q)
-    blob = json.dumps(prob.to_json_obj())
-    back = SpectralProblem.from_json_obj(json.loads(blob))
-    assert back.a == prob.a and back.dim == prob.dim
-    assert back.bandwidth == prob.bandwidth
-    for n in range(-1, 2):
-        assert np.allclose(back.Q.mode(n), prob.Q.mode(n), atol=1e-15)
-
-
 def test_json_hermitian_completion_and_rejection():
     obj = {"a": 1.0, "N": 1, "modes": [{"n": 1, "matrix": [[[0.5, 0.25]]]}]}
     prob = SpectralProblem.from_json_obj(obj)
@@ -355,6 +345,89 @@ def test_hp_trace_agrees_with_float64():
     t = 0.05
     hp = heat_trace_hp(prob, 48, mp.mpf(t), dps=40, values=vals)
     assert abs(float(hp) - heat_trace(e, t)) <= 1e-11
+
+
+def _refine_full_recurrence(diag, offsq, seeds, dps):
+    """Newton on the whole three-term recurrence: the refinement before
+    windowing, kept here as the oracle for the windowed one."""
+    import mpmath as mp
+
+    n = len(diag)
+    d = [mp.mpf(x) for x in diag]
+    e2 = [mp.mpf(x) for x in offsq]
+    refined = []
+    with mp.workdps(dps):
+        for seed in seeds:
+            lam = mp.mpf(float(seed))
+            for _ in range(8):
+                p_prev, p = mp.mpf(1), d[0] - lam
+                dp_prev, dp = mp.mpf(0), mp.mpf(-1)
+                for k in range(1, n):
+                    p_new = (d[k] - lam) * p - e2[k - 1] * p_prev
+                    dp_new = -p + (d[k] - lam) * dp - e2[k - 1] * dp_prev
+                    p_prev, p = p, p_new
+                    dp_prev, dp = dp, dp_new
+                step = p / dp
+                lam -= step
+                if abs(step) <= mp.mpf(10) ** (-(dps - 2)) * max(1, abs(lam)):
+                    break
+            refined.append(lam)
+    return refined
+
+
+def _hp_reference(problem, n_max, dps=50, half_width=None):
+    """eigenvalues_hp through the full recurrence, or through a fixed window
+    of rows c - half_width .. c + half_width around the row c whose
+    diagonal is nearest each seed."""
+    de, oe, do, oo = _parity_tridiagonals(problem, n_max)
+    out = []
+    for diag, offsq in ((de, oe), (do, oo)):
+        seeds = np.array(diag) if len(diag) == 1 else linalg.eigh_tridiagonal(
+            np.array(diag), np.sqrt(np.array(offsq)), eigvals_only=True)
+        if half_width is None:
+            out.extend(_refine_full_recurrence(diag, offsq, seeds, dps))
+            continue
+        for seed in seeds:
+            c = int(np.argmin(np.abs(np.array(diag) - seed)))
+            lo, hi = max(0, c - half_width), min(len(diag) - 1, c + half_width)
+            out.extend(_refine_full_recurrence(
+                diag[lo:hi + 1], offsq[lo:hi], [seed], dps))
+    return sorted(out)
+
+
+def _hp_rel_err(values, reference):
+    import mpmath as mp
+
+    with mp.workdps(60):
+        return max(abs(v - r) / max(1, abs(r)) for v, r in zip(values, reference))
+
+
+@pytest.mark.parametrize("amplitude, n_max", [
+    (0.0, 60), (1.0, 80), (20.0, 80), (200.0, 60)])
+def test_hp_window_matches_full_recurrence(amplitude, n_max):
+    prob = cosine_problem(amplitude=amplitude)
+    ref = _hp_reference(prob, n_max)
+    assert _hp_rel_err(eigenvalues_hp(prob, n_max, dps=50), ref) <= 1e-48
+    if amplitude >= 20.0:
+        # the coupling decides the width: any fixed width of 16 rows per side
+        # (or fewer) is silently wrong here
+        fixed = _hp_reference(prob, n_max, half_width=16)
+        assert _hp_rel_err(fixed, ref) > 1e-48
+
+
+@given(st.floats(0.0, 300.0), st.integers(1, 60))
+@settings(max_examples=20, deadline=None)
+def test_hp_window_matches_full_recurrence_random(amplitude, n_max):
+    prob = cosine_problem(amplitude=amplitude)
+    assert _hp_rel_err(eigenvalues_hp(prob, n_max, dps=50),
+                       _hp_reference(prob, n_max)) <= 1e-48
+
+
+def test_hp_newton_refuses_unconverged_seed():
+    prob = cosine_problem(amplitude=1.0)
+    diag, offsq, _, _ = _parity_tridiagonals(prob, 40)
+    with pytest.raises(ArithmeticError, match=r"seed 1000000\.0 .*dps=50"):
+        _newton_refine_tridiagonal(diag, offsq, [1e6], 50)
 
 
 def test_hp_path_restrictions():
