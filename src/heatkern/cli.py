@@ -104,6 +104,8 @@ class RunConfig:
                 raise ValueError(f"--{name} must be >= {low}")
         if self.n_max < 1 or self.order < 0 or self.flow < 1 or self.record < 2:
             raise ValueError("n-max, order, flow and record are out of range")
+        if not math.isfinite(self.lam):
+            raise ValueError("--lam must be finite")
         if not (math.isfinite(self.s_end) and self.s_end > 0.0):
             raise ValueError("--s-end must be positive and finite")
         if self.command == "kdv" and not self.invariants:

@@ -32,13 +32,12 @@ __all__ = [
     "DiffMonomial",
     "DiffPoly",
     "make",
-    "add",
-    "mul",
     "differentiate",
     "antiderivative",
     "commutative_image",
     "evaluate",
     "min_grid",
+    "fft_grid",
 ]
 
 
@@ -136,12 +135,6 @@ class DiffPoly:
             return len(ws) == 1
         return ws == {weight}
 
-    def max_derivative(self) -> int:
-        return max((max(w) for w in self._terms if w), default=0)
-
-    def max_word_length(self) -> int:
-        return max((len(w) for w in self._terms), default=0)
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "DiffPoly") -> "DiffPoly":
@@ -201,15 +194,6 @@ IDENTITY = DiffPoly({(): Fraction(1)})
 def make(coeff, word: Iterable[int]) -> DiffPoly:
     """Single-term polynomial ``coeff * Q^(d1)...Q^(dm)``."""
     return DiffPoly({tuple(word): _as_fraction(coeff)})
-
-
-def add(p: DiffPoly, q: DiffPoly) -> DiffPoly:
-    return p + q
-
-
-def mul(p: DiffPoly, q: DiffPoly) -> DiffPoly:
-    """Noncommutative product (word concatenation)."""
-    return p * q
 
 
 def differentiate(p: DiffPoly) -> DiffPoly:
@@ -318,6 +302,12 @@ def min_grid(p: DiffPoly, bandwidth: int) -> int:
         need = max(need, 4 * bandwidth * (max(w) + 1))
         need = max(need, 2 * len(w) * bandwidth + 1)
     return need
+
+
+def fft_grid(need: int) -> int:
+    """FFT-friendly grid size: the smallest power of two >= ``need``, and
+    at least 8."""
+    return 1 << max(3, (need - 1).bit_length())
 
 
 def evaluate(p: DiffPoly, Q: PeriodicFunction, grid: int) -> PeriodicFunction:

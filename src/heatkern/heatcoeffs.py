@@ -30,7 +30,6 @@ from .periodic import PeriodicFunction
 
 __all__ = [
     "matrix_element",
-    "TaylorTable",
     "taylor_coefficient",
     "apply_E",
     "diagonal_coefficient_recursive",
@@ -60,43 +59,34 @@ def matrix_element(m: int, n: int) -> DiffPoly:
     return out
 
 
-class TaylorTable:
-    """Memoised table of the Taylor coefficients ``<n|a_k>``.
-
-    Entries are homogeneous of weight ``2k + n``.
-    """
-
-    def __init__(self):
-        self._entries: dict[tuple[int, int], DiffPoly] = {(0, 0): _IDENT}
-
-    def entry(self, k: int, n: int) -> DiffPoly:
-        if k < 0 or n < 0:
-            raise ValueError("table indices must be nonnegative")
-        key = (k, n)
-        got = self._entries.get(key)
-        if got is not None:
-            return got
-        if k == 0:
-            val = _IDENT if n == 0 else dp.ZERO
-        else:
-            acc = dp.ZERO
-            # <n|L|m> vanishes unless m <= n or m == n + 2
-            for m in list(range(n + 1)) + [n + 2]:
-                prev = self.entry(k - 1, m)
-                if prev.is_zero():
-                    continue
-                acc = acc + matrix_element(n, m) * prev
-            val = Fraction(k, k + n) * acc
-        self._entries[key] = val
-        return val
+_TAYLOR_CACHE: dict[tuple[int, int], DiffPoly] = {}
 
 
-_DEFAULT_TABLE = TaylorTable()
+def _taylor_entry(k: int, n: int) -> DiffPoly:
+    got = _TAYLOR_CACHE.get((k, n))
+    if got is not None:
+        return got
+    if k < 0 or n < 0:
+        raise ValueError("Taylor indices must be nonnegative")
+    if k == 0:
+        val = _IDENT if n == 0 else dp.ZERO
+    else:
+        acc = dp.ZERO
+        # <n|L|m> vanishes unless m <= n or m == n + 2
+        for m in list(range(n + 1)) + [n + 2]:
+            prev = _taylor_entry(k - 1, m)
+            if prev.is_zero():
+                continue
+            acc = acc + matrix_element(n, m) * prev
+        val = Fraction(k, k + n) * acc
+    _TAYLOR_CACHE[(k, n)] = val
+    return val
 
 
-def taylor_coefficient(k: int, n: int, table: TaylorTable | None = None) -> DiffPoly:
-    """``<n|a_k>``; ``taylor_coefficient(k, 0)`` is the diagonal ``[a_k]``."""
-    return (table or _DEFAULT_TABLE).entry(k, n)
+def taylor_coefficient(k: int, n: int) -> DiffPoly:
+    """``<n|a_k>``, homogeneous of weight ``2k + n`` and memoised;
+    ``taylor_coefficient(k, 0)`` is the diagonal ``[a_k]``."""
+    return _taylor_entry(k, n)
 
 
 # ---------------------------------------------------------------------------
@@ -166,14 +156,13 @@ def diagonal_coefficient_recursive(k: int, *, scalar: bool = False) -> DiffPoly:
     return val
 
 
-def w_coefficient(k: int, table: TaylorTable | None = None) -> DiffPoly:
+def w_coefficient(k: int) -> DiffPoly:
     """Antisymmetrised interface coefficient ``W_k = 2 <1|a_k> - d/dx [a_k]``.
 
     Satisfies ``d/dx W_k = [Q, [a_k]]`` exactly, and its commutative image is
     zero (a scalar potential has no interface term).
     """
-    t = table or _DEFAULT_TABLE
-    return 2 * t.entry(k, 1) - dp.differentiate(t.entry(k, 0))
+    return 2 * _taylor_entry(k, 1) - dp.differentiate(_taylor_entry(k, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +201,7 @@ def global_invariant(k: int, Q: PeriodicFunction, grid: int | None = None) -> Gl
         return got
     poly = taylor_coefficient(k, 0)
     if grid is None:
-        grid = 1 << max(3, (dp.min_grid(poly, Q.bandwidth) - 1).bit_length())
+        grid = dp.fft_grid(dp.min_grid(poly, Q.bandwidth))
     density = dp.evaluate(poly, Q, grid)
     got = GlobalInvariant(k=k, value=density.trace_integral(), grid=grid)
     if len(_INVARIANT_CACHE) >= _INVARIANT_CACHE_SIZE:

@@ -92,8 +92,7 @@ def variational_derivative(k: int, Q: PeriodicFunction, *, rescaled: bool = Fals
         poly = taylor_coefficient(k - 1, 0)
         scale = float(k)
     if grid is None:
-        need = dp.min_grid(poly, Q.bandwidth)
-        grid = 1 << max(3, (need - 1).bit_length())
+        grid = dp.fft_grid(dp.min_grid(poly, Q.bandwidth))
     return dp.evaluate(poly, Q, grid) * scale
 
 
@@ -103,8 +102,7 @@ def trace_pairing(f: PeriodicFunction, g: PeriodicFunction) -> float:
         raise ValueError("matrix dimensions differ")
     if abs(f.a - g.a) > 1e-12 * max(f.a, g.a):
         raise ValueError("circle radii differ")
-    need = 2 * (f.bandwidth + g.bandwidth) + 1
-    m = 1 << max(3, (need - 1).bit_length())
+    m = dp.fft_grid(2 * (f.bandwidth + g.bandwidth) + 1)
     prod = np.einsum("mij,mji->m", f.sample(m), g.sample(m))
     return float(np.mean(prod.real) * 2.0 * math.pi * f.a)
 

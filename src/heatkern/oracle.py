@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy import linalg, special
@@ -32,9 +31,7 @@ from scipy import linalg, special
 from .errors import ResolutionError
 from .heatcoeffs import global_invariant
 from .periodic import PeriodicFunction
-
-# e^{-45} ~ 3e-20: dropping exponentials beyond this leaves float64 intact.
-_EXP_CUT = 45.0
+from .specfun import EXP_CUT
 
 
 # ----------------------------------------------------------------- problem
@@ -48,10 +45,11 @@ def _json_int(value, name: str) -> int:
 
 @dataclass(frozen=True)
 class SpectralProblem:
-    """Potential bundle on a circle of radius a: the data of -D^2 + Q."""
+    """Potential bundle on a circle of radius a: the data of -D^2 + Q.
 
-    a: float
-    dim: int
+    The radius and the bundle dimension are those of ``Q``.
+    """
+
     Q: PeriodicFunction
 
     def __post_init__(self):
@@ -59,16 +57,17 @@ class SpectralProblem:
             raise ValueError("radius a must be positive and finite")
         if self.dim < 1:
             raise ValueError("bundle dimension must be >= 1")
-        if self.Q.matrix_dim != self.dim:
-            raise ValueError(
-                f"potential is {self.Q.matrix_dim}x{self.Q.matrix_dim}, "
-                f"problem says dim={self.dim}"
-            )
-        if abs(self.Q.a - self.a) > 1e-12 * abs(self.a):
-            raise ValueError("potential radius disagrees with problem radius")
         # the band solver reads one triangle only: refuse, never symmetrise
         if not self.Q.is_hermitian():
             raise ValueError("potential violates q_{-n} = q_n^dagger")
+
+    @property
+    def a(self) -> float:
+        return self.Q.a
+
+    @property
+    def dim(self) -> int:
+        return self.Q.matrix_dim
 
     @property
     def bandwidth(self) -> int:
@@ -76,11 +75,11 @@ class SpectralProblem:
 
     @classmethod
     def free(cls, a: float = 1.0, dim: int = 1) -> "SpectralProblem":
-        return cls(a=a, dim=dim, Q=PeriodicFunction.zero(a, dim))
+        return cls(PeriodicFunction.zero(a, dim))
 
     @classmethod
     def from_potential(cls, Q: PeriodicFunction) -> "SpectralProblem":
-        return cls(a=Q.a, dim=Q.matrix_dim, Q=Q)
+        return cls(Q)
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SpectralProblem":
@@ -107,27 +106,12 @@ class SpectralProblem:
                     f"mode {n}: matrix must be N rows of N [re, im] pairs") from exc
             if not np.isfinite(m).all():
                 raise ValueError(f"mode {n}: matrix entries must be finite")
-            if m.shape != (dim, dim):
-                raise ValueError(f"mode {n}: matrix shape {m.shape} != ({dim},{dim})")
             if n in given:
                 raise ValueError(f"mode {n} listed twice")
             given[n] = m
-        # Hermitian completion: q_{-n} := q_n^dagger for any one-sided mode,
-        # consistency check when both signs are present.
-        mode_dict = dict(given)
-        for n, m in list(mode_dict.items()):
-            if -n not in mode_dict:
-                mode_dict[-n] = m.conj().T
-            else:
-                other = mode_dict[-n]
-                if not np.allclose(other, m.conj().T, atol=1e-12):
-                    raise ValueError(f"modes {n} and {-n} are not mutual adjoints")
-        bw = max(abs(n) for n in mode_dict) if mode_dict else 0
-        stack = np.zeros((2 * bw + 1, dim, dim), dtype=complex)
-        for n, m in mode_dict.items():
-            stack[n + bw] = m
-        Q = PeriodicFunction(a, stack)
-        return cls(a=a, dim=dim, Q=Q)
+        # from_modes checks the shapes and sets q_{-n} := q_n^dagger for any
+        # one-sided mode; a two-sided pair that is not adjoint is refused
+        return cls(PeriodicFunction.from_modes(a, given, dim))
 
 
 # -------------------------------------------------------------- eigenvalues
@@ -214,7 +198,7 @@ def eigendata(problem: SpectralProblem, n_max: int) -> EigenData:
 
 
 def _suggest_n_max(eigen: EigenData, t: float, lam: float = 0.0) -> int:
-    lam_top = _EXP_CUT / t + lam
+    lam_top = EXP_CUT / t + lam
     need = math.ceil(eigen.a * math.sqrt(max(lam_top, 1.0)))
     return need + eigen.n_band + 2
 
@@ -227,10 +211,10 @@ def heat_trace(eigen: EigenData, t: float) -> float:
     """
     if not (t > 0.0 and math.isfinite(t)):
         raise ValueError("heat time t must be positive and finite")
-    if t * eigen.lambda_max < _EXP_CUT:
+    if t * eigen.lambda_max < EXP_CUT:
         raise ResolutionError(
             f"truncation n_max={eigen.n_max} too small for t={t:g}: "
-            f"t*lambda_max={t * eigen.lambda_max:.2f} < {_EXP_CUT}",
+            f"t*lambda_max={t * eigen.lambda_max:.2f} < {EXP_CUT}",
             suggestion={"n_max": _suggest_n_max(eigen, t)},
         )
     return float(np.sum(np.exp(-t * eigen.eigenvalues)))
@@ -282,8 +266,11 @@ def zeta(eigen: EigenData, s: float, lam: float) -> float:
     truncation).  Tail: Euler-Maclaurin on (n/a)^2 + d_alpha - lam with
     d_alpha the mean-mode eigenvalues.  s = 0 returns the continuation
     value 0 exactly; 0 < s <= 1/2 has no convergent head sum and is
-    refused (use the Mellin route and the functional relation instead).
+    refused (use the Mellin route and the functional relation instead), as
+    are a non-finite s or lam.
     """
+    if not (math.isfinite(s) and math.isfinite(lam)):
+        raise ValueError("zeta needs finite s and lam")
     if s == 0.0:
         return 0.0
     if s <= 0.5:
@@ -310,28 +297,16 @@ def zeta(eigen: EigenData, s: float, lam: float) -> float:
 
 @dataclass(frozen=True)
 class MellinPlan:
-    """Split-integral plan for B_q: series on (0, t*], spectrum beyond.
-
-    ``tail_rule`` chooses between the closed-form incomplete-gamma tail
-    (exact per eigenvalue) and a per-eigenvalue scaled Gauss-Laguerre rule
-    kept as an independent cross-check.
-    """
+    """Split-integral plan for B_q: series on (0, t*], spectrum beyond."""
 
     t_star: float
     series_order: int = 8
-    tail_rule: str = "exact-gamma"
-    tail_nodes: int = 128
-    check_tol: float = 1e-6
 
     def __post_init__(self):
         if not (self.t_star > 0.0 and math.isfinite(self.t_star)):
             raise ValueError("split point t_star must be positive")
         if not 2 <= self.series_order <= 12:
             raise ValueError("series order outside the supported range 2..12")
-        if self.tail_rule not in ("exact-gamma", "laguerre"):
-            raise ValueError(f"unknown tail rule {self.tail_rule!r}")
-        if self.tail_nodes < 16:
-            raise ValueError("tail quadrature needs at least 16 nodes")
 
     @classmethod
     def default(cls, problem: SpectralProblem, lam: float) -> "MellinPlan":
@@ -340,12 +315,6 @@ class MellinPlan:
         # circle's diffusion scale.
         t_star = min(problem.a ** 2 / 4.0, 0.2 / max(1.0, -lam))
         return cls(t_star=t_star)
-
-
-@lru_cache(maxsize=8)
-def _laguerre_rule(nodes: int):
-    x, w = special.roots_laguerre(nodes)
-    return x, w
 
 
 def _falling_half(j: int) -> float:
@@ -377,19 +346,6 @@ def _tail_exact_gamma(mu: np.ndarray, t_star: float, q: float, n_ibp: int) -> fl
     return total
 
 
-def _tail_laguerre(mu: np.ndarray, t_star: float, q: float, n_ibp: int,
-                   nodes: int) -> float:
-    u, w = _laguerre_rule(nodes)
-    t = t_star + u[None, :] / mu[:, None]          # (modes, nodes)
-    F = np.zeros_like(t)
-    for j in range(n_ibp + 1):
-        coeff = math.comb(n_ibp, j) * _falling_half(j)
-        F += coeff * (-mu[:, None]) ** (n_ibp - j) * t ** (0.5 - j)
-    F *= t ** (n_ibp - q - 1.0)
-    integrals = np.exp(-mu * t_star) / mu * (F @ w)
-    return float(np.sum(integrals))
-
-
 def b_function(eigen: EigenData, problem: SpectralProblem, q: float,
                lam: float, plan: MellinPlan | None = None) -> float:
     """Mellin transform B_q(lam) of the normalized heat trace.
@@ -415,7 +371,7 @@ def b_function(eigen: EigenData, problem: SpectralProblem, q: float,
     t_star = plan.t_star
 
     mu_all = eigen.eigenvalues - lam
-    if float(mu_all[-1]) * t_star < _EXP_CUT:
+    if float(mu_all[-1]) * t_star < EXP_CUT:
         raise ResolutionError(
             f"truncation top {eigen.lambda_max:.3g} cannot anchor the tail "
             f"at t_star={t_star:g}",
@@ -436,7 +392,7 @@ def b_function(eigen: EigenData, problem: SpectralProblem, q: float,
     g_series = math.fsum(g[m] * t_star ** m for m in range(K + 1))
     g_exact = math.sqrt(4.0 * math.pi * t_star) * float(
         np.sum(np.exp(-t_star * mu_all)))
-    if abs(g_series - g_exact) > plan.check_tol * max(1.0, abs(g_exact)):
+    if abs(g_series - g_exact) > 1e-6 * max(1.0, abs(g_exact)):
         raise ResolutionError(
             f"series/spectrum mismatch {abs(g_series - g_exact):.3g} at "
             f"t_star={t_star:g}; the split point sits outside the series range",
@@ -449,14 +405,8 @@ def b_function(eigen: EigenData, problem: SpectralProblem, q: float,
         for m in range(n_ibp, K + 1)
     )
 
-    mu = np.asarray(mu_all[mu_all * t_star <= _EXP_CUT + 1.0], dtype=float)
-    if mu.size == 0:
-        tail = 0.0
-    elif plan.tail_rule == "laguerre":
-        tail = math.sqrt(4.0 * math.pi) * _tail_laguerre(
-            mu, t_star, q, n_ibp, plan.tail_nodes)
-    else:
-        tail = math.sqrt(4.0 * math.pi) * _tail_exact_gamma(mu, t_star, q, n_ibp)
+    mu = np.asarray(mu_all[mu_all * t_star <= EXP_CUT + 1.0], dtype=float)
+    tail = math.sqrt(4.0 * math.pi) * _tail_exact_gamma(mu, t_star, q, n_ibp)
 
     return (-1.0) ** n_ibp / special.gamma(n_ibp - q) * (small + tail)
 
@@ -662,7 +612,7 @@ def heat_trace_hp(problem: SpectralProblem, n_max: int, t, dps: int = 50,
     with mp.workdps(dps):
         tt = mp.mpf(t)
         top = vals[-1]
-        if tt * top < _EXP_CUT + 15:
+        if tt * top < EXP_CUT + 15:
             raise ResolutionError(
                 f"hp truncation n_max={n_max} too small for t={float(t):g}",
                 suggestion={"n_max": n_max * 2},

@@ -121,14 +121,6 @@ class PeriodicFunction:
             return np.zeros((self.matrix_dim, self.matrix_dim), dtype=complex)
         return self._modes[n + b].copy()
 
-    def modes_dict(self) -> dict[int, np.ndarray]:
-        b = self.bandwidth
-        return {
-            n - b: self._modes[n].copy()
-            for n in range(self._modes.shape[0])
-            if self._modes[n].any()
-        }
-
     def content_key(self) -> tuple:
         """Hashable key of the radius and the exact mode data (bytes)."""
         return (self.a, self._modes.shape, self._modes.tobytes())

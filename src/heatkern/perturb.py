@@ -35,13 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .heatcoeffs import global_invariant
-from .specfun import DEFAULT_CONFIG, SpecialFunctionConfig, f_q, integrate_unit_interval, theta
-
-_EXP_CUTOFF = 45.0
+from .specfun import EXP_CUT, f_q, integrate_unit_interval, theta
 
 
-def beta_k(k: int, t: float,
-           config: SpecialFunctionConfig = DEFAULT_CONFIG) -> float:
+def beta_k(k: int, t: float) -> float:
     """Pairing weight of lattice mode k at dimensionless time t:
 
         beta_k(t) = sqrt(t/pi) int_0^1 dxi
@@ -53,7 +50,7 @@ def beta_k(k: int, t: float,
     if not (t > 0.0 and math.isfinite(t)):
         raise ValueError("beta_k needs t > 0")
     k = abs(int(k))
-    radius = math.sqrt(_EXP_CUTOFF / t) + 1.0
+    radius = math.sqrt(EXP_CUT / t) + 1.0
     ns = np.arange(math.floor(k / 2 - radius), math.ceil(k + radius) + 1,
                    dtype=float)
 
@@ -64,7 +61,7 @@ def beta_k(k: int, t: float,
         expo = -t * (dev * dev + (c * (1.0 - c) * k * k)[:, None])
         return np.exp(expo).sum(axis=1)
 
-    return math.sqrt(t / math.pi) * integrate_unit_interval(integrand, config)
+    return math.sqrt(t / math.pi) * integrate_unit_interval(integrand)
 
 
 def _mode_weights(Q) -> list[tuple[int, float, float]]:
@@ -92,26 +89,24 @@ class PerturbativeTrace:
     mode_terms: dict[int, float]
 
     @classmethod
-    def omega(cls, problem, t: float,
-              config: SpecialFunctionConfig = DEFAULT_CONFIG) -> "PerturbativeTrace":
+    def omega(cls, problem, t: float) -> "PerturbativeTrace":
         if not (t > 0.0 and math.isfinite(t)):
             raise ValueError("omega expansion needs t > 0")
         Q = problem.Q
         a = problem.a
         tau = t / a ** 2
         tr_q0 = float(np.trace(Q.mean()).real)
-        mean_term = theta(tau, config) * 2.0 * math.pi * a * (problem.dim - t * tr_q0)
+        mean_term = theta(tau) * 2.0 * math.pi * a * (problem.dim - t * tr_q0)
         mode_terms = {}
         for k, mult, w in _mode_weights(Q):
-            mode_terms[k] = math.pi * a * t * t * mult * w * beta_k(k, tau, config)
+            mode_terms[k] = math.pi * a * t * t * mult * w * beta_k(k, tau)
         return cls(t=t, value=mean_term + math.fsum(mode_terms.values()),
                    mean_term=mean_term, mode_terms=mode_terms)
 
 
-def omega_exact2(problem, t: float,
-                 config: SpecialFunctionConfig = DEFAULT_CONFIG) -> float:
+def omega_exact2(problem, t: float) -> float:
     """Normalized heat trace, exact through second order in the potential."""
-    return PerturbativeTrace.omega(problem, t, config).value
+    return PerturbativeTrace.omega(problem, t).value
 
 
 @dataclass(frozen=True)
@@ -129,8 +124,7 @@ class SpectralCorrection:
         return iter((self.b_q, self.gamma))
 
 
-def bq_gamma(problem, q: float, lam: float,
-             config: SpecialFunctionConfig = DEFAULT_CONFIG) -> SpectralCorrection:
+def bq_gamma(problem, q: float, lam: float) -> SpectralCorrection:
     """Large-shift spectral forms of B_q(lam) minus its free part, and of
     the determinant correction gamma = b_{1/2}.  Requires lam < 0; accuracy
     is O(eps^3) plus relative corrections e^{-2 pi a sqrt(-lam)}."""
@@ -141,7 +135,7 @@ def bq_gamma(problem, q: float, lam: float,
     Q = problem.Q
     tr_q0 = float(np.trace(Q.mean()).real)
     weights = _mode_weights(Q)
-    ssum = math.fsum(mult * w * f_q(q - 2.0, k * k / (mu * a * a), config)
+    ssum = math.fsum(mult * w * f_q(q - 2.0, k * k / (mu * a * a))
                      for k, mult, w in weights)
     b_q = (2.0 * math.pi * a * q * mu ** (q - 1.0) * tr_q0
            + math.pi * a * q * (q - 1.0) * mu ** (q - 2.0) * ssum)
@@ -172,8 +166,7 @@ def resummed_omega(problem, t: float, order: int) -> float:
         for k in range(order + 1))
 
 
-def trace_comparison_rows(problem, eigen, ts, order: int = 6,
-                          config: SpecialFunctionConfig = DEFAULT_CONFIG):
+def trace_comparison_rows(problem, eigen, ts, order: int = 6):
     """(t, Omega_oracle, Omega_eps2, Omega_resummed) rows for reporting."""
     from .oracle import omega as oracle_omega
 
@@ -182,24 +175,23 @@ def trace_comparison_rows(problem, eigen, ts, order: int = 6,
         rows.append((
             float(t),
             oracle_omega(eigen, problem, float(t)),
-            omega_exact2(problem, float(t), config),
+            omega_exact2(problem, float(t)),
             resummed_omega(problem, float(t), order),
         ))
     return rows
 
 
-def det_comparison_rows(problem, eigen, lams, plan=None,
-                        config: SpecialFunctionConfig = DEFAULT_CONFIG):
+def det_comparison_rows(problem, eigen, lams):
     """(lam, logDet_oracle, Weyl, gamma) rows for reporting."""
     from .oracle import log_det
 
     rows = []
     for lam in lams:
         lam = float(lam)
-        corr = bq_gamma(problem, 0.5, lam, config)
+        corr = bq_gamma(problem, 0.5, lam)
         rows.append((
             lam,
-            log_det(eigen, problem, lam, plan),
+            log_det(eigen, problem, lam),
             weyl_log_det(problem, lam),
             corr.gamma,
         ))

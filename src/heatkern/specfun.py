@@ -11,72 +11,51 @@ Gauss-Legendre fallback elsewhere.  The quadrature (``f_q_quadrature``,
 node-doubling until two successive rules agree) is the ground truth the
 shortcuts are checked against in the test suite.
 
-Everything here is pure and thread-safe; ``SpecialFunctionConfig`` carries
-the numerical knobs and sensible defaults.
+Everything here is pure and thread-safe.  The numerical settings are the
+module constants below.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import legendre
 
+# exp(-45) ~ 2.9e-20: exponentials below this are dropped throughout the
+# package (lattice sums here, heat-trace truncation and tails in the oracle).
+EXP_CUT = 45.0
 
-@dataclass(frozen=True)
-class SpecialFunctionConfig:
-    """Numerical knobs for the special-function evaluators.
-
-    ``tolerance`` is a relative target for series truncation and for the
-    node-doubling stop rule; ``min_nodes``/``max_nodes`` bound the
-    Gauss-Legendre rule sizes; ``theta_crossover`` is where ``theta``
-    switches between its two dual series (both need ~5 terms there);
-    ``alpha_series_radius`` is the largest positive argument at which the
-    alternating series is still used (cancellation grows like e^{z/4}).
-    """
-
-    tolerance: float = 1e-13
-    min_nodes: int = 16
-    max_nodes: int = 4096
-    theta_crossover: float = math.pi
-    alpha_series_radius: float = 36.0
-
-    def __post_init__(self) -> None:
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
-        if self.min_nodes < 16:
-            raise ValueError("need at least 16 quadrature nodes")
-        if self.max_nodes < self.min_nodes:
-            raise ValueError("max_nodes must be >= min_nodes")
-        if self.theta_crossover <= 0.0:
-            raise ValueError("theta_crossover must be positive")
+# relative target for series truncation and for the node-doubling stop rule
+_TOL = 1e-13
+# Gauss-Legendre rule sizes: the first rule and the cap on doubling
+_MIN_NODES = 16
+_MAX_NODES = 4096
+# theta switches between its two dual series here (both need ~5 terms)
+_THETA_CROSSOVER = math.pi
+# largest positive z at which alpha's alternating series is still used
+# (its cancellation grows like e^{z/4})
+_ALPHA_SERIES_RADIUS = 36.0
 
 
-DEFAULT_CONFIG = SpecialFunctionConfig()
-
-# exp(-45) ~ 2.9e-20: summation cutoff exponent used by theta and friends.
-_EXP_CUTOFF = 45.0
-
-
-def theta(t: float, config: SpecialFunctionConfig = DEFAULT_CONFIG) -> float:
+def theta(t: float) -> float:
     """Gaussian lattice sum  sum_n exp(-pi^2 n^2 / t)  over all integers n.
 
     By Poisson summation the same value equals
     sqrt(t/pi) * sum_n exp(-t n^2); the faster-converging side is picked
-    automatically (crossover at ``config.theta_crossover``).  Always >= 1.
+    automatically (crossover at t = pi).  Always >= 1.
     """
     t = float(t)
     if t <= 0.0:
         raise ValueError("theta(t) requires t > 0")
-    if t <= config.theta_crossover:
-        n_cut = math.ceil(math.sqrt(_EXP_CUTOFF * t) / math.pi) + 1
+    if t <= _THETA_CROSSOVER:
+        n_cut = math.ceil(math.sqrt(EXP_CUT * t) / math.pi) + 1
         tail = math.fsum(
             math.exp(-math.pi * math.pi * n * n / t) for n in range(1, n_cut + 1)
         )
         return 1.0 + 2.0 * tail
-    n_cut = math.ceil(math.sqrt(_EXP_CUTOFF / t)) + 1
+    n_cut = math.ceil(math.sqrt(EXP_CUT / t)) + 1
     tail = math.fsum(math.exp(-t * n * n) for n in range(1, n_cut + 1))
     return math.sqrt(t / math.pi) * (1.0 + 2.0 * tail)
 
@@ -88,39 +67,39 @@ def _unit_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def integrate_unit_interval(f, config: SpecialFunctionConfig = DEFAULT_CONFIG) -> float:
+def integrate_unit_interval(f) -> float:
     """Integrate a smooth vectorized integrand over [0, 1].
 
-    Doubles the Gauss-Legendre node count from ``config.min_nodes`` until two
-    successive rules agree to ``config.tolerance`` (relative, floored at 1),
-    capped at ``config.max_nodes``.  Returns the finest estimate.
+    Doubles the Gauss-Legendre node count from 16 until two successive
+    rules agree to 1e-13 (relative, floored at 1), capped at 4096 nodes.
+    Returns the finest estimate.
     """
-    n = config.min_nodes
+    n = _MIN_NODES
     xs, ws = _unit_rule(n)
     prev = float(np.dot(ws, f(xs)))
-    while n < config.max_nodes:
+    while n < _MAX_NODES:
         n *= 2
         xs, ws = _unit_rule(n)
         cur = float(np.dot(ws, f(xs)))
-        if abs(cur - prev) <= config.tolerance * max(1.0, abs(cur)):
+        if abs(cur - prev) <= _TOL * max(1.0, abs(cur)):
             return cur
         prev = cur
     return prev
 
 
-def _alpha_series_scalar(z: float, config: SpecialFunctionConfig) -> float:
+def _alpha_series_scalar(z: float) -> float:
     # alpha(z) = sum_k c_k (-z)^k with c_0 = 1, c_{k+1}/c_k = 1/(2(2k+3)).
     term = 1.0
     total = 1.0
     for k in range(500):
         term *= -z / (2.0 * (2 * k + 3))
         total += term
-        if abs(term) <= config.tolerance * max(1.0, abs(total)):
+        if abs(term) <= _TOL * max(1.0, abs(total)):
             break
     return total
 
 
-def alpha(z: float, config: SpecialFunctionConfig = DEFAULT_CONFIG) -> float:
+def alpha(z: float) -> float:
     """The entire function  int_0^1 exp(-(1 - xi^2) z / 4) dxi.
 
     alpha(0) = 1,  alpha(z) = 1 - z/6 + O(z^2),  z*alpha(z) -> 2 as z -> +inf,
@@ -131,17 +110,15 @@ def alpha(z: float, config: SpecialFunctionConfig = DEFAULT_CONFIG) -> float:
     overflow near z ~ -2800) and endpoint-safe quadrature beyond it.
     """
     z = float(z)
-    if z <= config.alpha_series_radius:
-        return _alpha_series_scalar(z, config)
-    return integrate_unit_interval(
-        lambda xi: np.exp(-(1.0 - xi * xi) * (z / 4.0)), config
-    )
+    if z <= _ALPHA_SERIES_RADIUS:
+        return _alpha_series_scalar(z)
+    return integrate_unit_interval(lambda xi: np.exp(-(1.0 - xi * xi) * (z / 4.0)))
 
 
-def alpha_prime(z: float, config: SpecialFunctionConfig = DEFAULT_CONFIG) -> float:
+def alpha_prime(z: float) -> float:
     """Derivative of ``alpha``:  -(1/4) int_0^1 (1 - xi^2) exp(-(1-xi^2)z/4) dxi."""
     z = float(z)
-    if z <= config.alpha_series_radius:
+    if z <= _ALPHA_SERIES_RADIUS:
         # alpha'(z) = -sum_j d_j (-z)^j, d_0 = 1/6,
         # d_{j+1}/d_j = (j+2) / ((j+1) * 2 * (2j+5)).
         term = 1.0 / 6.0
@@ -149,24 +126,22 @@ def alpha_prime(z: float, config: SpecialFunctionConfig = DEFAULT_CONFIG) -> flo
         for j in range(500):
             term *= -z * (j + 2) / ((j + 1) * 2.0 * (2 * j + 5))
             total += term
-            if abs(term) <= config.tolerance * max(1.0, abs(total)):
+            if abs(term) <= _TOL * max(1.0, abs(total)):
                 break
         return -total
     return integrate_unit_interval(
-        lambda xi: -0.25 * (1.0 - xi * xi) * np.exp(-(1.0 - xi * xi) * (z / 4.0)),
-        config,
-    )
+        lambda xi: -0.25 * (1.0 - xi * xi) * np.exp(-(1.0 - xi * xi) * (z / 4.0)))
 
 
-def alpha_ode_residual(z: float, config: SpecialFunctionConfig = DEFAULT_CONFIG) -> float:
+def alpha_ode_residual(z: float) -> float:
     """Residual of  4 alpha' + (1 + 2/z) alpha - 2/z;  identically zero in exact arithmetic."""
     z = float(z)
     if z == 0.0:
         raise ValueError("the defining equation is singular at z = 0")
-    return 4.0 * alpha_prime(z, config) + (1.0 + 2.0 / z) * alpha(z, config) - 2.0 / z
+    return 4.0 * alpha_prime(z) + (1.0 + 2.0 / z) * alpha(z) - 2.0 / z
 
 
-def f_q_quadrature(q: float, z: float, config: SpecialFunctionConfig = DEFAULT_CONFIG) -> float:
+def f_q_quadrature(q: float, z: float) -> float:
     """Ground-truth quadrature of  int_0^1 (1 + (1 - xi^2) z / 4)^q dxi,  z >= 0."""
     z = float(z)
     if z < 0.0:
@@ -174,9 +149,7 @@ def f_q_quadrature(q: float, z: float, config: SpecialFunctionConfig = DEFAULT_C
     if z == 0.0:
         return 1.0
     q = float(q)
-    return integrate_unit_interval(
-        lambda xi: (1.0 + (1.0 - xi * xi) * (z / 4.0)) ** q, config
-    )
+    return integrate_unit_interval(lambda xi: (1.0 + (1.0 - xi * xi) * (z / 4.0)) ** q)
 
 
 def _f_nonneg_int(q: int, z: float) -> float:
@@ -190,22 +163,7 @@ def _f_nonneg_int(q: int, z: float) -> float:
     )
 
 
-def f_minus_half_closed(z: float) -> float:
-    """Closed form  (2/sqrt(z)) arcsin((1 + 4/z)^{-1/2})  for the q = -1/2 member.
-
-    Kept as a helper that the tests compare against the quadrature ground
-    truth; ``f_q`` itself does not trust it (the arcsin branch is checked,
-    not assumed).
-    """
-    z = float(z)
-    if z < 0.0:
-        raise ValueError("requires z >= 0")
-    if z == 0.0:
-        return 1.0
-    return (2.0 / math.sqrt(z)) * math.asin(1.0 / math.sqrt(1.0 + 4.0 / z))
-
-
-def f_q(q: float, z: float, config: SpecialFunctionConfig = DEFAULT_CONFIG) -> float:
+def f_q(q: float, z: float) -> float:
     """The family  int_0^1 (1 + (1 - xi^2) z / 4)^q dxi  on z >= 0.
 
     Dispatch: q = -3/2 has the rational closed form 4/(z+4); non-negative
@@ -225,4 +183,4 @@ def f_q(q: float, z: float, config: SpecialFunctionConfig = DEFAULT_CONFIG) -> f
         return 4.0 / (z + 4.0)
     if q >= 0.0 and q == int(q):
         return _f_nonneg_int(int(q), z)
-    return f_q_quadrature(q, z, config)
+    return f_q_quadrature(q, z)

@@ -131,6 +131,17 @@ def test_malformed_problem_schema_is_config_error(tmp_path, capsys, obj, reason)
     assert payload["error"] == "config" and reason in payload["reason"]
 
 
+def test_non_adjoint_mode_pair_is_config_error(tmp_path, capsys):
+    obj = {"a": 1.0, "N": 1, "modes": [{"n": 1, "matrix": [[[0.5, 0.25]]]},
+                                       {"n": -1, "matrix": [[[0.5, 0.25]]]}]}
+    path = write_problem(tmp_path, "pair.json", obj)
+    for args in (["det", "--lam-grid=-4", "--n-max", "16"], ["invariants", "--k", "2"]):
+        code, out, err = run_cli(args + ["--problem", path], capsys)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "config"
+
+
 def test_cli_import_skips_scipy_integrate():
     probe = "import sys, heatkern.cli; print('scipy.integrate' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
@@ -214,6 +225,17 @@ def test_zeta_lambda_above_spectrum_is_config_error(capsys):
          "--lam", "5"], capsys)
     assert code == 2
     assert json.loads(err)["error"] == "config"
+
+
+def test_zeta_non_finite_lam_is_config_error(capsys):
+    for lam in ("nan", "-inf", "inf"):
+        code, out, err = run_cli(
+            ["zeta", "--problem", "free_a1_N1.json", "--s-grid", "1.5",
+             f"--lam={lam}"], capsys)
+        assert (code, out) == (2, ""), lam
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "config" and "--lam" in payload["reason"]
 
 
 # -------------------------------------------------------------------- kdv

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import linalg
+from scipy import linalg, special
 
 from heatkern.errors import ResolutionError
 from heatkern.heatcoeffs import global_invariant
@@ -19,6 +19,7 @@ from heatkern.oracle import (
     SpectralProblem,
     _newton_refine_tridiagonal,
     _parity_tridiagonals,
+    _tail_exact_gamma,
     assemble,
     b_function,
     eigendata,
@@ -31,7 +32,7 @@ from heatkern.oracle import (
     zeta,
 )
 from heatkern.periodic import PeriodicFunction
-from heatkern.specfun import theta
+from heatkern.specfun import EXP_CUT, theta
 
 # 2 log(2 sinh pi), mpmath dps=30
 DET_BENCHMARK = 6.279446930026116322662
@@ -196,6 +197,15 @@ def test_zeta_domain():
         zeta(e, 1.0, 0.0)  # lam at the bottom eigenvalue
 
 
+def test_zeta_refuses_non_finite_arguments():
+    # a nan or infinite s or lam would otherwise come out as nan or 0
+    e = eigendata(SpectralProblem.free(1.0), 48)
+    for s, lam in ((math.nan, -1.0), (math.inf, -1.0), (1.5, math.nan),
+                   (1.5, -math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            zeta(e, s, lam)
+
+
 def test_zeta_matches_mellin_route():
     # functional relation zeta(s) = (4pi)^{-1/2} Gamma(s-1/2)/Gamma(s) B_{1/2-s}
     from scipy.special import gamma as G
@@ -229,13 +239,34 @@ def test_split_point_independence():
         assert abs(v1 - v2) <= 1e-8
 
 
+def _laguerre_tail(mu, t_star, q, n_ibp, nodes=256):
+    # the large-t side of B_q, sum over mu of
+    # int_{t*}^inf e^{-mu t} t^(n_ibp-q-1) sum_j C(n_ibp, j) (1/2)_j (-mu)^(n_ibp-j) t^(1/2-j) dt,
+    # by a Gauss-Laguerre rule scaled to each eigenvalue (t = t* + u/mu)
+    u, w = special.roots_laguerre(nodes)
+    t = t_star + u[None, :] / mu[:, None]
+    F = np.zeros_like(t)
+    for j in range(n_ibp + 1):
+        falling = math.prod(0.5 - i for i in range(j))
+        F += math.comb(n_ibp, j) * falling * (-mu[:, None]) ** (n_ibp - j) * t ** (0.5 - j)
+    F *= t ** (n_ibp - q - 1.0)
+    return float(np.sum(np.exp(-mu * t_star) / mu * (F @ w)))
+
+
 def test_tail_rules_agree():
-    prob = constant_problem(1.0)
-    e = eigendata(prob, 64)
-    exact = log_det(e, prob, 0.0)
-    lag = log_det(e, prob, 0.0,
-                  MellinPlan(t_star=0.2, tail_rule="laguerre"))
-    assert abs(exact - lag) <= 1e-7
+    # the closed-form incomplete-gamma tail against an independent
+    # quadrature on the same eigenvalues; q = 1.5 reaches the negative-order
+    # incomplete gammas.  At q = 1/2 the bound keeps log Det within 1e-8.
+    for prob, lam in ((constant_problem(1.0), 0.0), (cosine_problem(), -2.0)):
+        e = eigendata(prob, 64)
+        t_star = MellinPlan.default(prob, lam).t_star
+        mu = e.eigenvalues - lam
+        mu = mu[mu * t_star <= EXP_CUT + 1.0]
+        for q in (0.5, -0.7, 1.5):
+            n_ibp = max(0, math.ceil(q) + 1)
+            exact = _tail_exact_gamma(mu, t_star, q, n_ibp)
+            quad = _laguerre_tail(mu, t_star, q, n_ibp)
+            assert abs(exact - quad) <= 1e-9 * abs(exact)
 
 
 def test_integer_q_reduces_to_invariants():

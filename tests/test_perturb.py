@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from heatkern.oracle import (
-    MellinPlan,
     SpectralProblem,
     b_function,
     eigendata,

@@ -2,7 +2,8 @@
 
 Oracles used here and nowhere in the implementation: scipy's Dawson
 function and error function for alpha, brute-force lattice sums for theta,
-and the node-doubling quadrature itself for the f_q shortcuts.
+the arcsin closed form of f_{-1/2}, and the node-doubling quadrature itself
+for the f_q shortcuts.
 """
 
 import math
@@ -12,12 +13,9 @@ import pytest
 from scipy.special import dawsn, erf
 
 from heatkern.specfun import (
-    DEFAULT_CONFIG,
-    SpecialFunctionConfig,
     alpha,
     alpha_ode_residual,
     alpha_prime,
-    f_minus_half_closed,
     f_q,
     f_q_quadrature,
     integrate_unit_interval,
@@ -122,12 +120,19 @@ def test_f_minus_three_halves_closed_form():
         assert abs(f_q_quadrature(-1.5, z) - 4.0 / (z + 4.0)) <= 1e-10
 
 
+def _f_minus_half_closed(z):
+    # (2/sqrt(z)) arcsin((1 + 4/z)^{-1/2}), the q = -1/2 member in closed form
+    if z == 0.0:
+        return 1.0
+    return (2.0 / math.sqrt(z)) * math.asin(1.0 / math.sqrt(1.0 + 4.0 / z))
+
+
 def test_f_minus_half_against_quadrature():
     # the arcsin closed form is checked against the defining integral, which
     # is what f_q actually evaluates at q = -1/2
     for z in np.linspace(0.0, 100.0, 26):
         quad = f_q(-0.5, z)
-        assert abs(quad - f_minus_half_closed(z)) <= 1e-11
+        assert abs(quad - _f_minus_half_closed(z)) <= 1e-11
         assert abs(quad - f_q_quadrature(-0.5, z)) <= 1e-15
 
 
@@ -160,16 +165,7 @@ def test_f_q_large_z_constant():
         assert abs(f_q(q, z) / (c * z**q) - 1.0) < 2e-2
 
 
-# -- config / quadrature helper ---------------------------------------------
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        SpecialFunctionConfig(tolerance=0.0)
-    with pytest.raises(ValueError):
-        SpecialFunctionConfig(min_nodes=8)
-    with pytest.raises(ValueError):
-        SpecialFunctionConfig(max_nodes=8)
+# -- quadrature helper -----------------------------------------------------
 
 
 def test_integrate_unit_interval():
