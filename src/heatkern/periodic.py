@@ -31,6 +31,8 @@ class PeriodicFunction:
             modes = modes[:, None, None]
         if modes.ndim != 3 or modes.shape[1] != modes.shape[2] or modes.shape[0] % 2 != 1:
             raise ValueError("modes must have shape (2B+1, N, N)")
+        if modes.shape[1] < 1:
+            raise ValueError(f"matrix dimension N must be >= 1, got {modes.shape[1]}")
         # drop exactly-zero outer shells so the stored bandwidth is honest
         # (arithmetic like f - g routinely cancels the outermost modes)
         while modes.shape[0] > 1 and not modes[0].any() and not modes[-1].any():
@@ -57,9 +59,9 @@ class PeriodicFunction:
         """Build from ``{n: matrix}``; missing ``-n`` entries are filled by
         Hermitian completion."""
         if not mode_dict:
-            return cls.zero(a, n_dim or 1)
+            return cls.zero(a, 1 if n_dim is None else n_dim)
         mats = {int(k): np.atleast_2d(np.asarray(v, dtype=complex)) for k, v in mode_dict.items()}
-        dim = n_dim or next(iter(mats.values())).shape[0]
+        dim = next(iter(mats.values())).shape[0] if n_dim is None else n_dim
         full = dict(mats)
         for n, m in mats.items():
             if -n not in full:
@@ -93,17 +95,16 @@ class PeriodicFunction:
         m = values.shape[0]
         spec = np.fft.fft(values, axis=0) / m
         b = (m - 1) // 2
-        modes = np.empty((2 * b + 1, values.shape[1], values.shape[2]), dtype=complex)
-        for n in range(-b, b + 1):
-            modes[n + b] = spec[n % m]
-        # trim negligible outer shells (keeps evaluation grids honest); the
-        # cut is far below any coefficient a band-limited product can have
-        # but above the FFT round-off floor
-        cut = 1e-13 * max(np.max(np.abs(modes)), 1e-300)
-        while b > 0 and np.max(np.abs(modes[0])) <= cut and np.max(np.abs(modes[-1])) <= cut:
-            modes = modes[1:-1].copy()
-            b -= 1
-        return cls(a, modes, check_hermitian=check_hermitian)
+        # trim negligible outer shells (keeps evaluation grids honest): the
+        # kept bandwidth is the outermost n with |q_n| or |q_-n| not below
+        # the cut, read off the per-mode maxima in one pass.  The cut is far
+        # below any coefficient a band-limited product can have but above
+        # the FFT round-off floor.
+        peak = np.max(np.abs(spec), axis=(1, 2), initial=0.0)[np.arange(-b, b + 1) % m]
+        cut = 1e-13 * max(np.max(peak), 1e-300)
+        kept = np.flatnonzero(~(np.maximum(peak[:b][::-1], peak[b + 1:]) <= cut))
+        keep = int(kept[-1]) + 1 if kept.size else 0
+        return cls(a, spec[np.arange(-keep, keep + 1) % m], check_hermitian=check_hermitian)
 
     # -- basic queries ------------------------------------------------------
 
@@ -171,8 +172,7 @@ class PeriodicFunction:
             raise ValueError(f"grid {m} cannot carry bandwidth {b}; need >= {2 * b + 1}")
         dim = self.matrix_dim
         spec = np.zeros((m, dim, dim), dtype=complex)
-        for n in range(-b, b + 1):
-            spec[n % m] += self._modes[n + b]
+        spec[np.arange(-b, b + 1) % m] += self._modes
         return np.fft.ifft(spec, axis=0) * m
 
     def sample_scalar(self, m: int) -> np.ndarray:

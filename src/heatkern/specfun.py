@@ -23,6 +23,8 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import legendre
 
+from .errors import ResolutionError
+
 # exp(-45) ~ 2.9e-20: exponentials below this are dropped throughout the
 # package (lattice sums here, heat-trace truncation and tails in the oracle).
 EXP_CUT = 45.0
@@ -72,7 +74,8 @@ def integrate_unit_interval(f) -> float:
 
     Doubles the Gauss-Legendre node count from 16 until two successive
     rules agree to 1e-13 (relative, floored at 1), capped at 4096 nodes.
-    Returns the finest estimate.
+    Returns the finest estimate; raises :class:`ResolutionError` when the
+    cap is reached without agreement (a kink or singularity in ``f``).
     """
     n = _MIN_NODES
     xs, ws = _unit_rule(n)
@@ -83,8 +86,11 @@ def integrate_unit_interval(f) -> float:
         cur = float(np.dot(ws, f(xs)))
         if abs(cur - prev) <= _TOL * max(1.0, abs(cur)):
             return cur
-        prev = cur
-    return prev
+        diff, prev = abs(cur - prev), cur
+    raise ResolutionError(
+        f"Gauss-Legendre quadrature on [0, 1] did not converge at {_MAX_NODES} "
+        f"nodes: the last two rules differ by {diff:.3g} (tolerance {_TOL:g} "
+        "relative); the integrand is not smooth enough")
 
 
 def _alpha_series_scalar(z: float) -> float:

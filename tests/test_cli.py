@@ -5,9 +5,11 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from heatkern import cli
+from heatkern import cli, perturb
+from heatkern.specfun import integrate_unit_interval
 
 
 def run_cli(args, capsys):
@@ -293,6 +295,33 @@ def test_kdv_aliasing_exit3_with_required(tmp_path, capsys):
     payload = json.loads(err)
     assert payload["error"] == "resolution"
     assert payload["required"] > 8
+
+
+def test_kdv_nonpositive_grid_is_config_error(capsys):
+    for grid in ("-4", "0"):
+        code, out, err = run_cli(
+            ["kdv", "--problem", "constant_a1_N1.json", "--flow", "2",
+             "--steps", "10", "--grid", grid], capsys)
+        assert (code, out) == (2, ""), grid
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "config"
+        assert payload["reason"] == f"grid must be >= 1, got {grid}"
+
+
+def test_unconverged_quadrature_is_resolution_error(monkeypatch, capsys):
+    def kinked_beta(k, t):
+        return integrate_unit_interval(lambda x: np.sqrt(np.abs(x - 1.0 / 3.0)))
+
+    monkeypatch.setattr(perturb, "beta_k", kinked_beta)
+    code, out, err = run_cli(
+        ["trace", "--problem", "constant_a1_N1.json", "--t-grid", "0.05",
+         "--n-max", "48"], capsys)
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "resolution"
+    assert "did not converge at 4096 nodes" in payload["reason"]
 
 
 # ----------------------------------------------------------------- verify

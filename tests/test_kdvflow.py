@@ -2,13 +2,15 @@
 conservation along trajectories."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from heatkern.errors import AliasingError, FlowDivergenceError
-from heatkern.heatcoeffs import global_invariant
+from heatkern.heatcoeffs import diagonal_coefficient_recursive, global_invariant
 from heatkern.kdvflow import (
+    _flow_operator,
     conservation_report,
     gradient_rescale,
     integrate_flow,
@@ -205,10 +207,99 @@ def test_integrate_flow_validation():
         integrate_flow(2, COS, -1.0, 10)
     with pytest.raises(ValueError):
         integrate_flow(2, COS, 1.0, 0)
+    for grid in (0, -4):
+        with pytest.raises(ValueError, match=f"grid must be >= 1, got {grid}") as info:
+            integrate_flow(2, COS, 1.0, 10, grid=grid)
+        assert not isinstance(info.value, AliasingError)
     wide = PeriodicFunction.from_modes(1.0, {6: 0.1})
     with pytest.raises(AliasingError) as info:
         integrate_flow(2, wide, 0.1, 10, grid=16)
     assert info.value.required >= 18
+
+
+def full_spectrum_operator(k, a, grid):
+    """Flow-``k`` split on the full rfft spectrum: one transform per
+    derivative order and per product, truncating by zeroing after each."""
+    poly = diagonal_coefficient_recursive(k, scalar=True)
+    gam = float(gradient_rescale(k))
+    ik = 1j * np.arange(grid // 2 + 1, dtype=float) / a
+    cut = grid // 3
+    lin_coeff = Fraction(0)
+    words = []
+    for mono in poly.terms():
+        if mono.word == (2 * k - 2,):
+            lin_coeff = mono.coeff
+        else:
+            words.append((mono.word, float(mono.coeff)))
+    lin = float(gradient_rescale(k) * lin_coeff) * ik ** (2 * k - 1)
+    powers = {d: ik ** d for word, _ in words for d in word}
+
+    def trunc(spec):
+        out = spec.copy()
+        out[cut + 1:] = 0.0
+        return out
+
+    def nonlinear(u_hat):
+        derivs = {}
+
+        def phys(d):
+            if d not in derivs:
+                derivs[d] = np.fft.irfft(u_hat * powers[d], grid)
+            return derivs[d]
+
+        acc = np.zeros(grid // 2 + 1, dtype=complex)
+        for word, coeff in words:
+            cur = phys(word[0])
+            for d in word[1:-1]:
+                cur = np.fft.irfft(trunc(np.fft.rfft(cur * phys(d))), grid)
+            acc += coeff * np.fft.rfft(cur * phys(word[-1]))
+        return gam * ik * trunc(acc)
+
+    return lin, trunc, nonlinear
+
+
+def full_spectrum_flow(k, Q0, s_end, steps, grid, record):
+    """Integrating-factor RK4 on the full spectrum; samples at the snapshots."""
+    lin, trunc, nonlinear = full_spectrum_operator(k, Q0.a, grid)
+    u = trunc(np.fft.rfft(Q0.sample_scalar(grid)))
+    dt = s_end / steps
+    half = np.exp(lin * (dt / 2.0))
+    full = half * half
+    record_at = {int(round(x)) for x in np.linspace(0.0, steps, record)}
+    out = [np.fft.irfft(u, grid)]
+    for i in range(1, steps + 1):
+        k1 = nonlinear(u)
+        k2 = nonlinear(half * (u + (0.5 * dt) * k1))
+        k3 = nonlinear(half * u + (0.5 * dt) * k2)
+        k4 = nonlinear(full * u + dt * (half * k3))
+        u = full * u + (dt / 6.0) * (full * k1 + 2.0 * half * (k2 + k3) + k4)
+        if i in record_at:
+            out.append(np.fft.irfft(u, grid))
+    return out
+
+
+FLOW_Q0 = PeriodicFunction.from_modes(1.0, {0: 0.2, 1: 0.3 - 0.1j, 3: 0.05j})
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("grid", [48, 64, 96])
+def test_flow_matches_full_spectrum_bitwise(k, grid):
+    # k = 1 has no nonlinear words; k >= 3 dealiases interior letters, and
+    # k = 4 has word coefficients (2/5, 3/5, 4/5) that are not powers of two
+    lin, nonlinear = _flow_operator(k, 1.0, grid)
+    ref_lin, trunc, ref_nonlinear = full_spectrum_operator(k, 1.0, grid)
+    kept = grid // 3 + 1
+    assert lin.size == kept and lin.tobytes() == ref_lin[:kept].tobytes()
+    u = trunc(np.fft.rfft(FLOW_Q0.sample_scalar(grid)))
+    assert nonlinear(u[:kept]).tobytes() == ref_nonlinear(u)[:kept].tobytes()
+
+    s_end = {1: 0.3, 2: 1e-3, 3: 1e-5, 4: 1e-7}[k]
+    trajectory = integrate_flow(k, FLOW_Q0, s_end, 24, grid=grid, record=5)
+    reference = full_spectrum_flow(k, FLOW_Q0, s_end, 24, grid, 5)
+    assert len(trajectory) == len(reference) == 5
+    for state, values in zip(trajectory, reference):
+        expect = PeriodicFunction.from_samples(values, 1.0)
+        assert state.Q.content_key() == expect.content_key()
 
 
 # ---------------------------------------------------------------- reports

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heatkern.periodic import PeriodicFunction
 
@@ -96,3 +98,99 @@ def test_from_samples_trims_zero_shells():
     vals = np.cos(x).reshape(m, 1, 1).astype(complex)
     f = PeriodicFunction.from_samples(vals, 1.0)
     assert f.bandwidth == 1
+
+
+def test_matrix_dimension_below_one_is_refused():
+    for build in (lambda: PeriodicFunction.from_modes(1.0, {}, 0),
+                  lambda: PeriodicFunction.zero(1.0, 0),
+                  lambda: PeriodicFunction(1.0, np.zeros((3, 0, 0))),
+                  lambda: PeriodicFunction.from_samples(np.zeros((8, 0, 0)), 1.0)):
+        with pytest.raises(ValueError, match="dimension N must be >= 1, got 0"):
+            build()
+    assert PeriodicFunction.from_modes(1.0, {}).matrix_dim == 1
+
+
+# -------------------------------------- bit identity with the looped forms
+
+
+def from_samples_shell_by_shell(values, a):
+    """Mode gather and trim as one loop step per mode and per outer shell."""
+    values = np.asarray(values, dtype=complex)
+    if values.ndim == 1:
+        values = values[:, None, None]
+    m = values.shape[0]
+    spec = np.fft.fft(values, axis=0) / m
+    b = (m - 1) // 2
+    modes = np.empty((2 * b + 1, values.shape[1], values.shape[2]), dtype=complex)
+    for n in range(-b, b + 1):
+        modes[n + b] = spec[n % m]
+    cut = 1e-13 * max(np.max(np.abs(modes)), 1e-300)
+    while b > 0 and np.max(np.abs(modes[0])) <= cut and np.max(np.abs(modes[-1])) <= cut:
+        modes = modes[1:-1].copy()
+        b -= 1
+    return PeriodicFunction(a, modes, check_hermitian=False)
+
+
+def sample_by_scatter_loop(f, m):
+    spec = np.zeros((m, f.matrix_dim, f.matrix_dim), dtype=complex)
+    for n in range(-f.bandwidth, f.bandwidth + 1):
+        spec[n % m] += f.mode(n)
+    return np.fft.ifft(spec, axis=0) * m
+
+
+# per-side shell magnitudes: absent, below the trim cut, at round-off, content
+SHELL_SCALES = st.sampled_from([0.0, 1e-16, 1e-14, 1e-12, 1.0])
+
+
+@st.composite
+def sampled_functions(draw):
+    n_dim = draw(st.sampled_from([1, 2]))
+    m = draw(st.integers(min_value=1, max_value=40))
+    top = (m - 1) // 2
+    band = draw(st.integers(min_value=0, max_value=top))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    spec = np.zeros((m, n_dim, n_dim), dtype=complex)
+    for n in range(-band, band + 1):
+        noise = rng.normal(size=(n_dim, n_dim)) + 1j * rng.normal(size=(n_dim, n_dim))
+        spec[n % m] = draw(SHELL_SCALES) * noise
+    values = np.fft.ifft(spec, axis=0) * m
+    if n_dim == 1 and draw(st.booleans()):
+        values = values.reshape(m)  # the 1-D scalar input form
+    return values
+
+
+@settings(max_examples=300, deadline=None)
+@given(sampled_functions())
+def test_from_samples_matches_shell_by_shell_trim(values):
+    new = PeriodicFunction.from_samples(values, 1.5)
+    old = from_samples_shell_by_shell(values, 1.5)
+    assert new.content_key() == old.content_key()  # shape and mode bytes
+
+
+def test_from_samples_trim_edge_cases():
+    # all-zero input, a constant, and a shell negligible on one side only
+    m = 17
+    one_sided = np.zeros(m, dtype=complex)
+    one_sided[5] = 1.0
+    one_sided[-5] = 1e-15
+    one_sided[3] = 1e-15
+    cases = [np.zeros(m), np.zeros((m, 2, 2)), np.full(m, 0.7), np.zeros(1),
+             np.fft.ifft(one_sided) * m]
+    for values in cases:
+        new = PeriodicFunction.from_samples(values, 1.0)
+        old = from_samples_shell_by_shell(values, 1.0)
+        assert new.content_key() == old.content_key()
+    assert PeriodicFunction.from_samples(cases[-1], 1.0).bandwidth == 5
+    assert PeriodicFunction.from_samples(cases[0], 1.0).bandwidth == 0
+
+
+@pytest.mark.parametrize("n_dim", [1, 2])
+def test_sample_matches_scatter_loop(n_dim):
+    rng = np.random.default_rng(11 + n_dim)
+    for band in (0, 1, 4, 7):
+        raw = {n: rng.normal(size=(n_dim, n_dim)) + 1j * rng.normal(size=(n_dim, n_dim))
+               for n in range(1, band + 1)}
+        raw[0] = np.eye(n_dim)
+        f = PeriodicFunction.from_modes(1.0, raw, n_dim=n_dim)
+        for m in (2 * band + 1, 2 * band + 2, 32, 33):
+            assert f.sample(m).tobytes() == sample_by_scatter_loop(f, m).tobytes()

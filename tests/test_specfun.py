@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import dawsn, erf
 
+from heatkern.errors import ResolutionError
 from heatkern.specfun import (
     alpha,
     alpha_ode_residual,
@@ -158,11 +159,14 @@ def test_f_q_large_z_slope():
 
 
 def test_f_q_large_z_constant():
-    # f_q(z) ~ Gamma(q+1)^2 / Gamma(2q+2) * z^q
-    for q in (1.0, 2.0, -0.5):
-        z = 1e6
+    # f_q(z) ~ Gamma(q+1)^2 / Gamma(2q+2) * z^q; q = -1/2 goes through the
+    # quadrature, whose 4096-node cap is reached between z = 1e5 and 1e6
+    # (the integrand's boundary layer at xi = 1 has width ~ 1/z)
+    for q, z in ((1.0, 1e6), (2.0, 1e6), (-0.5, 1e5)):
         c = math.gamma(q + 1.0) ** 2 / math.gamma(2.0 * q + 2.0)
         assert abs(f_q(q, z) / (c * z**q) - 1.0) < 2e-2
+    with pytest.raises(ResolutionError):
+        f_q(-0.5, 1e6)
 
 
 # -- quadrature helper -----------------------------------------------------
@@ -171,3 +175,10 @@ def test_f_q_large_z_constant():
 def test_integrate_unit_interval():
     assert abs(integrate_unit_interval(lambda x: x * x) - 1.0 / 3.0) < 1e-15
     assert abs(integrate_unit_interval(np.exp) - (math.e - 1.0)) < 1e-14
+
+
+def test_integrate_unit_interval_refuses_at_node_cap():
+    # a square-root kink inside the interval defeats Gauss-Legendre doubling:
+    # successive rules still differ by about 3e-6 at 2048 -> 4096 nodes
+    with pytest.raises(ResolutionError, match="did not converge at 4096 nodes"):
+        integrate_unit_interval(lambda x: np.sqrt(np.abs(x - 1.0 / 3.0)))
