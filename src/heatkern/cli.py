@@ -26,9 +26,13 @@ Conventions
 * Floats in text and CSV output are printed with ``%.17g`` so identical
   configurations produce byte-identical artifacts; JSON output relies on
   Python's exact round-trip float form.
-* Exit codes: 0 success, 2 configuration error, 3 numeric-resolution
-  refusal, 4 verification failure.  Every nonzero exit writes exactly one
-  JSON line to stderr with the machine-readable reason.
+* Each flag's ``type=`` converts and range-checks it inside argparse, and
+  each handler reads the parsed namespace; a refused flag is named in the
+  reason, e.g. ``argument --n-max: must be >= 1, got '0'``.
+* Exit codes: 0 success, 2 configuration error (including a problem size
+  or cutoff too large to allocate), 3 numeric-resolution refusal, 4
+  verification failure.  Every nonzero exit writes exactly one JSON line
+  to stderr with the machine-readable reason.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -58,60 +61,8 @@ DEFAULT_PROBLEM = "free_a1_N1.json"
 
 
 # ---------------------------------------------------------------------------
-# configuration
+# flags
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated bundle of one subcommand invocation."""
-
-    command: str
-    problem: str = DEFAULT_PROBLEM
-    k: int | None = None
-    upto: int | None = None
-    t_grid: tuple[float, ...] = ()
-    lam_grid: tuple[float, ...] = ()
-    s_grid: tuple[float, ...] = ()
-    lam: float = -1.0
-    n_max: int = 64
-    order: int = 6
-    flow: int = 2
-    grid: int = 256
-    s_end: float = 1.0
-    steps: int | None = None
-    record: int = 33
-    invariants: tuple[str, ...] = ("A2", "A3", "A4", "A5")
-    only: str | None = None
-    check_tol: float | None = None
-    fmt: str = "csv"
-    output: str | None = None
-
-    def __post_init__(self):
-        if self.fmt not in ("csv", "json"):
-            raise ValueError(f"output format must be csv or json, not {self.fmt!r}")
-        for name in ("t_grid", "lam_grid", "s_grid"):
-            if any(not math.isfinite(v) for v in getattr(self, name)):
-                raise ValueError(f"{name.replace('_', '-')} entries must be finite")
-        if any(t <= 0.0 for t in self.t_grid):
-            raise ValueError("t-grid entries must be positive")
-        needed = {"trace": "t_grid", "det": "lam_grid", "zeta": "s_grid"}.get(self.command)
-        if needed is not None and not getattr(self, needed):
-            raise ValueError(f"{self.command} needs a nonempty {needed.replace('_', '-')}")
-        for name, low in (("k", 0), ("upto", 0), ("steps", 1)):
-            value = getattr(self, name)
-            if value is not None and value < low:
-                raise ValueError(f"--{name} must be >= {low}")
-        if self.n_max < 1 or self.order < 0 or self.flow < 1 or self.record < 2:
-            raise ValueError("n-max, order, flow and record are out of range")
-        if not math.isfinite(self.lam):
-            raise ValueError("--lam must be finite")
-        if not (math.isfinite(self.s_end) and self.s_end > 0.0):
-            raise ValueError("--s-end must be positive and finite")
-        if self.command == "kdv" and not self.invariants:
-            raise ValueError("kdv needs at least one invariant name")
-        if self.check_tol is not None and not self.check_tol > 0.0:
-            raise ValueError("--check-tol must be positive")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -121,98 +72,116 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+def _checked(convert, ok, need: str):
+    """argparse ``type=``: convert the text, then refuse it unless ``ok``.
+
+    A ValueError from ``convert`` reads "invalid <convert> value"; a value
+    that converts but fails ``ok`` reads "must be <need>".
+    """
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__
+    return parse
+
+
+def _at_least(low: int):
+    return _checked(int, lambda v: v >= low, f">= {low}")
+
+
+def _positive(v: float) -> bool:
+    return v > 0.0 and math.isfinite(v)
+
+
+def floats(text: str) -> tuple[float, ...]:
+    # public name: argparse quotes it in "invalid floats value: ..."
+    return tuple(float(piece) for piece in text.split(","))
+
+
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(piece.strip() for piece in text.split(",") if piece.strip())
+
+
+_finite = _checked(float, math.isfinite, "finite")
+_positive_finite = _checked(float, _positive, "positive and finite")
+_finite_list = _checked(floats, lambda vs: all(map(math.isfinite, vs)),
+                        "comma-separated finite floats")
+_positive_list = _checked(floats, lambda vs: all(map(_positive, vs)),
+                          "comma-separated positive finite floats")
+_name_list = _checked(_names, bool, "a non-empty comma list of names")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="heatkern", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, text: str, fmt: bool = True) -> argparse.ArgumentParser:
+    def add(name: str, text: str, handler, *, orders: bool = False,
+            problem: bool = True, n_max: bool = False,
+            fmt: bool = True) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text, description=text)
+        p.set_defaults(handler=handler)
+        if orders:
+            g = p.add_mutually_exclusive_group(required=True)
+            g.add_argument("--k", type=_at_least(0), help="single order")
+            g.add_argument("--upto", type=_at_least(0), help="table of orders 0..K")
+        if problem:
+            p.add_argument("--problem", default=DEFAULT_PROBLEM)
+        if n_max:
+            p.add_argument("--n-max", type=_at_least(1), default=64,
+                           help="eigenbasis cutoff for the oracle column")
         if fmt:
-            p.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                           default="csv", help="table format (default csv)")
-        p.add_argument("--output", default=None,
-                       help="write to this file instead of stdout")
+            p.add_argument("--format", choices=("csv", "json"),
+                           default="csv", help="table format (default %(default)s)")
+        p.add_argument("--output", help="write to this file instead of stdout")
         return p
 
-    p = add("coeffs", "print symbolic diagonal coefficients [a_k]")
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--k", type=int, help="single order")
-    g.add_argument("--upto", type=int, help="table of orders 0..K")
+    add("coeffs", "print symbolic diagonal coefficients [a_k]", _cmd_coeffs,
+        orders=True, problem=False)
 
-    p = add("invariants", "integrated invariants A_k of a problem")
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--k", type=int, help="single order")
-    g.add_argument("--upto", type=int, help="table of orders 0..K")
-    p.add_argument("--problem", default=DEFAULT_PROBLEM)
+    add("invariants", "integrated invariants A_k of a problem", _cmd_invariants,
+        orders=True)
 
-    p = add("trace", "heat-trace comparison over a t-grid")
-    p.add_argument("--problem", default=DEFAULT_PROBLEM)
-    p.add_argument("--t-grid", dest="t_grid", required=True,
+    p = add("trace", "heat-trace comparison over a t-grid", _cmd_trace, n_max=True)
+    p.add_argument("--t-grid", type=_positive_list, required=True,
                    help="comma-separated positive times")
-    p.add_argument("--n-max", dest="n_max", type=int, default=64,
-                   help="eigenbasis cutoff for the oracle column")
-    p.add_argument("--order", type=int, default=6,
-                   help="resummation order (default 6)")
-    p.add_argument("--check-tol", dest="check_tol", type=float, default=None,
+    p.add_argument("--order", type=_at_least(0), default=6,
+                   help="resummation order (default %(default)s)")
+    p.add_argument("--check-tol", type=_positive_finite,
                    help="fail (exit 4) if |resummed - oracle| exceeds this "
                         "relative tolerance anywhere on the grid")
 
-    p = add("det", "log-determinant comparison over a lambda-grid")
-    p.add_argument("--problem", default=DEFAULT_PROBLEM)
-    p.add_argument("--lam-grid", dest="lam_grid", required=True,
+    p = add("det", "log-determinant comparison over a lambda-grid", _cmd_det,
+            n_max=True)
+    p.add_argument("--lam-grid", type=_finite_list, required=True,
                    help="comma-separated spectral shifts lambda")
-    p.add_argument("--n-max", dest="n_max", type=int, default=64)
 
-    p = add("zeta", "spectral zeta values over an s-grid")
-    p.add_argument("--problem", default=DEFAULT_PROBLEM)
-    p.add_argument("--s-grid", dest="s_grid", required=True,
+    p = add("zeta", "spectral zeta values over an s-grid", _cmd_zeta, n_max=True)
+    p.add_argument("--s-grid", type=_finite_list, required=True,
                    help="comma-separated exponents s")
-    p.add_argument("--lam", type=float, default=-1.0,
+    p.add_argument("--lam", type=_finite, default=-1.0,
                    help="spectral shift, must lie below the spectrum")
-    p.add_argument("--n-max", dest="n_max", type=int, default=64)
 
-    p = add("kdv", "run a hierarchy flow and report conservation")
-    p.add_argument("--problem", default=DEFAULT_PROBLEM)
-    p.add_argument("--flow", type=int, required=True, help="hierarchy index k >= 1")
-    p.add_argument("--s-end", dest="s_end", type=float, default=1.0)
-    p.add_argument("--steps", type=int, default=None,
+    p = add("kdv", "run a hierarchy flow and report conservation", _cmd_kdv)
+    p.add_argument("--flow", type=_at_least(1), required=True,
+                   help="hierarchy index k >= 1")
+    p.add_argument("--s-end", type=_positive_finite, default=1.0)
+    p.add_argument("--steps", type=_at_least(1),
                    help="time steps (default: stability heuristic)")
     p.add_argument("--grid", type=int, default=256)
-    p.add_argument("--record", type=int, default=33,
-                   help="number of snapshots kept (default 33)")
-    p.add_argument("--invariants", default="A2,A3,A4,A5",
+    p.add_argument("--record", type=_at_least(2), default=33,
+                   help="number of snapshots kept (default %(default)s)")
+    p.add_argument("--invariants", type=_name_list, default="A2,A3,A4,A5",
                    help='comma list of invariant names, e.g. "A2,I1"')
 
-    p = add("verify", "run the acceptance suite", fmt=False)
-    p.add_argument("--only", choices=CHECK_NAMES, default=None,
-                   help="run a single named check")
+    p = add("verify", "run the acceptance suite", _cmd_verify,
+            problem=False, fmt=False)
+    p.add_argument("--only", choices=CHECK_NAMES, help="run a single named check")
 
     return parser
-
-
-def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(piece) for piece in text.split(","))
-    except ValueError as exc:
-        raise ValueError(f"{flag}: expected comma-separated floats, got {text!r}") from exc
-
-
-def _parse(argv) -> RunConfig:
-    ns = _build_parser().parse_args(argv)
-    kwargs: dict = {"command": ns.command}
-    for name in ("problem", "k", "upto", "lam", "n_max", "order", "flow", "grid",
-                 "s_end", "steps", "record", "only", "check_tol", "fmt", "output"):
-        if getattr(ns, name, None) is not None:
-            kwargs[name] = getattr(ns, name)
-    for gname, flag in (("t_grid", "--t-grid"), ("lam_grid", "--lam-grid"),
-                        ("s_grid", "--s-grid")):
-        if getattr(ns, gname, None) is not None:
-            kwargs[gname] = _parse_floats(getattr(ns, gname), flag)
-    if getattr(ns, "invariants", None) is not None:
-        kwargs["invariants"] = tuple(
-            piece.strip() for piece in ns.invariants.split(",") if piece.strip()
-        )
-    return RunConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -225,15 +194,16 @@ def _fmt(x) -> str:
 
 
 def _fail(code: int, kind: str, reason: str, **extra) -> int:
+    """One JSON line on stderr; ``extra`` fields that are empty are left out."""
     payload = {"error": kind, "exit": code, "reason": reason}
-    payload.update(extra)
+    payload.update((key, value) for key, value in extra.items() if value)
     sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
     return code
 
 
-def _emit(config: RunConfig, text: str) -> None:
-    if config.output:
-        Path(config.output).write_text(text)
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.output:
+        Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
 
@@ -253,8 +223,8 @@ def load_problem(name: str) -> SpectralProblem:
     return SpectralProblem.from_json_obj(obj)
 
 
-def _rows_text(config: RunConfig, columns: tuple[str, ...], rows) -> str:
-    if config.fmt == "json":
+def _rows_text(args: argparse.Namespace, columns: tuple[str, ...], rows) -> str:
+    if args.format == "json":
         records = [dict(zip(columns, (float(v) for v in row))) for row in rows]
         return json.dumps(records, indent=1, sort_keys=True) + "\n"
     head = ",".join(columns)
@@ -305,91 +275,91 @@ def render_poly(poly) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _orders(config: RunConfig) -> list[int]:
-    if config.k is not None:
-        return [config.k]
-    return list(range(config.upto + 1))
+def _orders(args: argparse.Namespace) -> list[int]:
+    if args.k is not None:
+        return [args.k]
+    return list(range(args.upto + 1))
 
 
-def _cmd_coeffs(config: RunConfig) -> int:
-    rows = [(k, render_poly(taylor_coefficient(k, 0))) for k in _orders(config)]
-    if config.fmt == "json":
+def _cmd_coeffs(args: argparse.Namespace) -> int:
+    rows = [(k, render_poly(taylor_coefficient(k, 0))) for k in _orders(args)]
+    if args.format == "json":
         text = json.dumps([{"k": k, "expression": e} for k, e in rows],
                           indent=1, sort_keys=True) + "\n"
-    elif config.k is not None:
+    elif args.k is not None:
         text = rows[0][1] + "\n"
     else:
         text = "k,expression\n" + "".join(f"{k},{e}\n" for k, e in rows)
-    _emit(config, text)
+    _emit(args, text)
     return 0
 
 
-def _cmd_invariants(config: RunConfig) -> int:
-    problem = load_problem(config.problem)
-    values = [global_invariant(k, problem.Q) for k in _orders(config)]
-    if config.fmt == "json":
+def _cmd_invariants(args: argparse.Namespace) -> int:
+    problem = load_problem(args.problem)
+    values = [global_invariant(k, problem.Q) for k in _orders(args)]
+    if args.format == "json":
         text = json.dumps(
             [{"k": g.k, "value": g.value, "grid": g.grid} for g in values],
             indent=1, sort_keys=True) + "\n"
-    elif config.k is not None:
+    elif args.k is not None:
         text = _fmt(values[0].value) + "\n"
     else:
         text = "k,A_k,grid\n" + "".join(
             f"{g.k},{_fmt(g.value)},{g.grid}\n" for g in values)
-    _emit(config, text)
+    _emit(args, text)
     return 0
 
 
-def _cmd_trace(config: RunConfig) -> int:
-    problem = load_problem(config.problem)
-    eigen = eigendata(problem, config.n_max)
-    rows = trace_comparison_rows(problem, eigen, config.t_grid, config.order)
+def _cmd_trace(args: argparse.Namespace) -> int:
+    problem = load_problem(args.problem)
+    eigen = eigendata(problem, args.n_max)
+    rows = trace_comparison_rows(problem, eigen, args.t_grid, args.order)
     columns = ("t", "omega_oracle", "omega_order2", "omega_resummed")
-    _emit(config, _rows_text(config, columns, rows))
-    if config.check_tol is not None:
+    _emit(args, _rows_text(args, columns, rows))
+    if args.check_tol is not None:
         worst = max(abs(r[3] - r[1]) / max(abs(r[1]), 1e-300) for r in rows)
-        if worst > config.check_tol:
+        if worst > args.check_tol:
             return _fail(4, "verification",
                          f"resummed trace deviates from oracle by {worst:.3e} "
-                         f"(allowed {config.check_tol:.3e})")
+                         f"(allowed {args.check_tol:.3e})")
     return 0
 
 
-def _cmd_det(config: RunConfig) -> int:
-    problem = load_problem(config.problem)
-    eigen = eigendata(problem, config.n_max)
-    rows = det_comparison_rows(problem, eigen, config.lam_grid)
+def _cmd_det(args: argparse.Namespace) -> int:
+    problem = load_problem(args.problem)
+    eigen = eigendata(problem, args.n_max)
+    rows = det_comparison_rows(problem, eigen, args.lam_grid)
     columns = ("lam", "log_det_oracle", "weyl", "gamma")
-    _emit(config, _rows_text(config, columns, rows))
+    _emit(args, _rows_text(args, columns, rows))
     return 0
 
 
-def _cmd_zeta(config: RunConfig) -> int:
-    problem = load_problem(config.problem)
-    eigen = eigendata(problem, config.n_max)
-    rows = [(s, zeta(eigen, s, config.lam)) for s in config.s_grid]
-    _emit(config, _rows_text(config, ("s", "zeta"), rows))
+def _cmd_zeta(args: argparse.Namespace) -> int:
+    problem = load_problem(args.problem)
+    eigen = eigendata(problem, args.n_max)
+    rows = [(s, zeta(eigen, s, args.lam)) for s in args.s_grid]
+    _emit(args, _rows_text(args, ("s", "zeta"), rows))
     return 0
 
 
-def _cmd_kdv(config: RunConfig) -> int:
-    problem = load_problem(config.problem)
-    steps = config.steps
+def _cmd_kdv(args: argparse.Namespace) -> int:
+    problem = load_problem(args.problem)
+    steps = args.steps
     if steps is None:
-        steps = suggested_steps(config.flow, problem.Q, config.s_end, config.grid)
-    trajectory = integrate_flow(config.flow, problem.Q, config.s_end, steps,
-                                grid=config.grid, record=config.record)
-    report = conservation_report(trajectory, list(config.invariants))
+        steps = suggested_steps(args.flow, problem.Q, args.s_end, args.grid)
+    trajectory = integrate_flow(args.flow, problem.Q, args.s_end, steps,
+                                grid=args.grid, record=args.record)
+    names = list(args.invariants)
+    report = conservation_report(trajectory, names)
     meta = (
-        ("flow_k", str(config.flow)),
+        ("flow_k", str(args.flow)),
         ("grid", str(report.grid)),
         ("steps", str(steps)),
         ("dt", _fmt(report.dt)),
-        ("gradient_rescale", str(gradient_rescale(config.flow))),
-        ("invariant_rescale", str(invariant_rescale(config.flow))),
+        ("gradient_rescale", str(gradient_rescale(args.flow))),
+        ("invariant_rescale", str(invariant_rescale(args.flow))),
     )
-    names = list(config.invariants)
-    if config.fmt == "json":
+    if args.format == "json":
         obj = {key: value for key, value in meta}
         obj["s"] = [float(s) for s in report.s]
         obj["series"] = {name: [float(v) for v in report.series[name]]
@@ -407,18 +377,18 @@ def _cmd_kdv(config: RunConfig) -> int:
             lines.append(f"# drift {name} = {_fmt(report.drifts[name])}")
         lines.append(f"# max_drift = {_fmt(report.max_drift)}")
         text = "\n".join(lines) + "\n"
-    _emit(config, text)
+    _emit(args, text)
     return 0
 
 
-def _cmd_verify(config: RunConfig) -> int:
-    only = None if config.only is None else [config.only]
+def _cmd_verify(args: argparse.Namespace) -> int:
+    only = None if args.only is None else [args.only]
     results = run_all(only)
     lines = []
     for result in results:
         status = "PASS" if result.passed else "FAIL"
         lines.append(f"{status} {result.name}: {result.detail}")
-    _emit(config, "\n".join(lines) + "\n")
+    _emit(args, "\n".join(lines) + "\n")
     failed = [result.name for result in results if not result.passed]
     if failed:
         return _fail(4, "verification",
@@ -427,35 +397,24 @@ def _cmd_verify(config: RunConfig) -> int:
     return 0
 
 
-_HANDLERS = {
-    "coeffs": _cmd_coeffs,
-    "invariants": _cmd_invariants,
-    "trace": _cmd_trace,
-    "det": _cmd_det,
-    "zeta": _cmd_zeta,
-    "kdv": _cmd_kdv,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv=None) -> int:
     try:
-        config = _parse(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # --help and friends
         return exc.code if isinstance(exc.code, int) else 0
     except ValueError as exc:
         return _fail(2, "config", str(exc))
     try:
-        return _HANDLERS[config.command](config)
+        return args.handler(args)
     except AliasingError as exc:  # ValueError subclass: must come first
         return _fail(3, "resolution", str(exc), required=exc.required)
     except ResolutionError as exc:
-        extra = {}
-        if exc.suggestion:
-            extra["suggestion"] = exc.suggestion
-        return _fail(3, "resolution", str(exc), **extra)
+        return _fail(3, "resolution", str(exc), suggestion=exc.suggestion)
     except (ValueError, OSError) as exc:
         return _fail(2, "config", str(exc))
+    except MemoryError as exc:  # a problem size or cutoff too large to allocate
+        return _fail(2, "config", f"{args.command} needs more memory than is "
+                                  f"available: {exc}")
 
 
 if __name__ == "__main__":

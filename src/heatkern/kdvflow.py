@@ -72,29 +72,20 @@ def gradient_rescale(k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def variational_derivative(k: int, Q: PeriodicFunction, *, rescaled: bool = False,
+def variational_derivative(k: int, Q: PeriodicFunction, *,
                            grid: int | None = None) -> PeriodicFunction:
-    """Functional gradient of an integrated invariant at the potential ``Q``.
+    """Functional gradient ``dA_k/dQ = k [a_{k-1}]`` of an integrated
+    invariant at the potential ``Q``.
 
-    Default is ``dA_k/dQ = k [a_{k-1}]``; with ``rescaled=True`` it is
-    ``dI_k/dQ`` (scalar potentials only -- the matrix flow normalization is
-    deliberately out of scope).  The gradient is the density whose pairing
-    ``integral tr(phi . grad)`` gives the first-order response of the
-    invariant to ``Q -> Q + h phi``.
+    The gradient is the density whose pairing ``integral tr(phi . grad)``
+    gives the first-order response of the invariant to ``Q -> Q + h phi``.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if rescaled:
-        if Q.matrix_dim != 1:
-            raise ValueError("rescaled gradients are defined for scalar potentials only")
-        poly = taylor_coefficient(k, 0)
-        scale = float(gradient_rescale(k))
-    else:
-        poly = taylor_coefficient(k - 1, 0)
-        scale = float(k)
+    poly = taylor_coefficient(k - 1, 0)
     if grid is None:
         grid = dp.fft_grid(dp.min_grid(poly, Q.bandwidth))
-    return dp.evaluate(poly, Q, grid) * scale
+    return dp.evaluate(poly, Q, grid) * float(k)
 
 
 def trace_pairing(f: PeriodicFunction, g: PeriodicFunction) -> float:

@@ -3,15 +3,18 @@
 A plane-wave Galerkin truncation, modes ordered 0, 1, -1, 2, -2, ... so the
 diagonal ascends, turns the operator into a Hermitian band matrix that
 LAPACK's banded solver reads in lower band storage (the graded order keeps
-the small eigenvalues accurate).  Its eigenvalues feed everything downstream:
+the small eigenvalues accurate).  ``eigendata(problem, n_max)`` returns an
+:class:`EigenData` that holds the problem with its spectrum, so everything
+downstream takes the spectrum alone:
 
-* ``heat_trace`` / ``omega``      -- exponential sums with explicit refusal
-  when the truncation cannot support the requested time,
-* ``zeta``                        -- head sum over computed eigenvalues plus
-  an Euler-Maclaurin tail built on the free-plus-mean asymptotics,
-* ``b_function`` / ``log_det``    -- the Mellin family B_q(lambda) via a
-  split integral: exact small-t series against the local invariants and a
-  closed-form incomplete-gamma tail over the computed spectrum.
+* ``heat_trace(eigen, t)`` / ``omega(eigen, t)`` -- exponential sums with
+  explicit refusal when the truncation cannot support the requested time,
+* ``zeta(eigen, s, lam)`` -- head sum over computed eigenvalues plus an
+  Euler-Maclaurin tail built on the free-plus-mean asymptotics,
+* ``b_function(eigen, q, lam)`` / ``log_det(eigen, lam)`` -- the Mellin
+  family B_q(lambda) via a split integral: exact small-t series against the
+  local invariants and a closed-form incomplete-gamma tail over the
+  computed spectrum.
 
 ``floquet_log_det`` is an entirely independent determinant route (trace of
 the period map minus two) used to cross-check the Mellin machinery.
@@ -76,10 +79,6 @@ class SpectralProblem:
     @classmethod
     def free(cls, a: float = 1.0, dim: int = 1) -> "SpectralProblem":
         return cls(PeriodicFunction.zero(a, dim))
-
-    @classmethod
-    def from_potential(cls, Q: PeriodicFunction) -> "SpectralProblem":
-        return cls(Q)
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SpectralProblem":
@@ -156,21 +155,19 @@ def assemble(problem: SpectralProblem, n_max: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigenData:
-    """Sorted spectrum of one Galerkin truncation, plus the geometry needed
-    by the tail formulas (radius, bundle dimension, mean-mode eigenvalues)."""
+    """Sorted spectrum of the Galerkin truncation |n| <= n_max of
+    ``problem``; the tail formulas read the radius, the bundle dimension,
+    the bandwidth and the mean mode from ``problem``."""
 
+    problem: SpectralProblem
     n_max: int
     eigenvalues: np.ndarray
-    a: float
-    dim: int
-    n_band: int
-    q0_eigs: tuple[float, ...]
 
     def __post_init__(self):
         vals = np.asarray(self.eigenvalues, dtype=float)
         vals.setflags(write=False)
         object.__setattr__(self, "eigenvalues", vals)
-        if vals.ndim != 1 or vals.size != (2 * self.n_max + 1) * self.dim:
+        if vals.ndim != 1 or vals.size != (2 * self.n_max + 1) * self.problem.dim:
             raise ValueError("eigenvalue count disagrees with truncation size")
         if np.any(np.diff(vals) < 0):
             raise ValueError("eigenvalues must be sorted ascending")
@@ -186,21 +183,13 @@ class EigenData:
 
 def eigendata(problem: SpectralProblem, n_max: int) -> EigenData:
     vals = linalg.eigvals_banded(assemble(problem, n_max), lower=True)
-    q0e = np.linalg.eigvalsh(problem.Q.mean())
-    return EigenData(
-        n_max=n_max,
-        eigenvalues=vals,
-        a=problem.a,
-        dim=problem.dim,
-        n_band=problem.bandwidth,
-        q0_eigs=tuple(float(x) for x in q0e),
-    )
+    return EigenData(problem, n_max, vals)
 
 
 def _suggest_n_max(eigen: EigenData, t: float, lam: float = 0.0) -> int:
     lam_top = EXP_CUT / t + lam
-    need = math.ceil(eigen.a * math.sqrt(max(lam_top, 1.0)))
-    return need + eigen.n_band + 2
+    need = math.ceil(eigen.problem.a * math.sqrt(max(lam_top, 1.0)))
+    return need + eigen.problem.bandwidth + 2
 
 
 def heat_trace(eigen: EigenData, t: float) -> float:
@@ -220,10 +209,8 @@ def heat_trace(eigen: EigenData, t: float) -> float:
     return float(np.sum(np.exp(-t * eigen.eigenvalues)))
 
 
-def omega(eigen: EigenData, problem: SpectralProblem, t: float) -> float:
+def omega(eigen: EigenData, t: float) -> float:
     """Normalized trace (4 pi t)^{1/2} Theta(t)."""
-    if abs(problem.a - eigen.a) > 1e-12 * eigen.a:
-        raise ValueError("eigendata belongs to a different radius")
     return math.sqrt(4.0 * math.pi * t) * heat_trace(eigen, t)
 
 
@@ -279,17 +266,18 @@ def zeta(eigen: EigenData, s: float, lam: float) -> float:
         raise ValueError(
             f"shift lam={lam:g} must lie below lambda_1={eigen.lambda_min:g}"
         )
-    n_c = eigen.n_max - (eigen.n_band + 8)
-    if n_c < max(2 * eigen.n_band + 2, 4):
+    problem, n_band = eigen.problem, eigen.problem.bandwidth
+    n_c = eigen.n_max - (n_band + 8)
+    if n_c < max(2 * n_band + 2, 4):
         raise ResolutionError(
             f"n_max={eigen.n_max} leaves no room for a zeta head",
-            suggestion={"n_max": eigen.n_max + eigen.n_band + 16},
+            suggestion={"n_max": eigen.n_max + n_band + 16},
         )
-    head_count = (2 * n_c + 1) * eigen.dim
+    head_count = (2 * n_c + 1) * problem.dim
     head = float(np.sum((eigen.eigenvalues[:head_count] - lam) ** (-s)))
     tail = 0.0
-    for d in eigen.q0_eigs:
-        tail += _em_tail(s, lam, eigen.a, d, n_c + 1)
+    for d in np.linalg.eigvalsh(problem.Q.mean()):
+        tail += _em_tail(s, lam, problem.a, float(d), n_c + 1)
     return head + tail
 
 
@@ -346,8 +334,8 @@ def _tail_exact_gamma(mu: np.ndarray, t_star: float, q: float, n_ibp: int) -> fl
     return total
 
 
-def b_function(eigen: EigenData, problem: SpectralProblem, q: float,
-               lam: float, plan: MellinPlan | None = None) -> float:
+def b_function(eigen: EigenData, q: float, lam: float,
+               plan: MellinPlan | None = None) -> float:
     """Mellin transform B_q(lam) of the normalized heat trace.
 
     Continuation below the naive convergence strip is by parts-integration
@@ -355,8 +343,7 @@ def b_function(eigen: EigenData, problem: SpectralProblem, q: float,
     series exactly, the large-t side reduces to upper incomplete gamma
     functions per computed eigenvalue.  q = 1/2 is the log-determinant.
     """
-    if abs(problem.a - eigen.a) > 1e-12 * eigen.a:
-        raise ValueError("eigendata belongs to a different radius")
+    problem = eigen.problem
     margin = 1e-3 / problem.a ** 2
     if not lam <= eigen.lambda_min - margin:
         raise ValueError(
@@ -411,10 +398,9 @@ def b_function(eigen: EigenData, problem: SpectralProblem, q: float,
     return (-1.0) ** n_ibp / special.gamma(n_ibp - q) * (small + tail)
 
 
-def log_det(eigen: EigenData, problem: SpectralProblem, lam: float,
-            plan: MellinPlan | None = None) -> float:
+def log_det(eigen: EigenData, lam: float, plan: MellinPlan | None = None) -> float:
     """log Det(L - lam), i.e. B_q at q = 1/2."""
-    return b_function(eigen, problem, 0.5, lam, plan)
+    return b_function(eigen, 0.5, lam, plan)
 
 
 # ------------------------------------------------- independent determinant
@@ -602,19 +588,18 @@ def eigenvalues_hp(problem: SpectralProblem, n_max: int, dps: int = 50):
     return sorted(out)
 
 
-def heat_trace_hp(problem: SpectralProblem, n_max: int, t, dps: int = 50,
-                  values=None):
-    """High-precision Theta(t); same refusal rule as the float64 path.
-    ``values`` lets callers reuse one eigenvalues_hp run across many t."""
+def heat_trace_hp(values, t, dps: int = 50):
+    """High-precision Theta(t) over the sorted spectrum ``values`` of one
+    :func:`eigenvalues_hp` run, reusable across many t; same refusal rule
+    as the float64 path."""
     import mpmath as mp
 
-    vals = values if values is not None else eigenvalues_hp(problem, n_max, dps)
     with mp.workdps(dps):
         tt = mp.mpf(t)
-        top = vals[-1]
-        if tt * top < EXP_CUT + 15:
+        if tt * values[-1] < EXP_CUT + 15:
+            n_max = (len(values) - 1) // 2
             raise ResolutionError(
                 f"hp truncation n_max={n_max} too small for t={float(t):g}",
                 suggestion={"n_max": n_max * 2},
             )
-        return mp.fsum(mp.e ** (-tt * v) for v in vals)
+        return mp.fsum(mp.e ** (-tt * v) for v in values)

@@ -17,6 +17,11 @@ __all__ = ["PeriodicFunction"]
 _HERM_TOL = 1e-12
 
 
+def _require_dim(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"matrix dimension N must be >= 1, got {n}")
+
+
 class PeriodicFunction:
     __slots__ = ("a", "_modes")
 
@@ -31,8 +36,7 @@ class PeriodicFunction:
             modes = modes[:, None, None]
         if modes.ndim != 3 or modes.shape[1] != modes.shape[2] or modes.shape[0] % 2 != 1:
             raise ValueError("modes must have shape (2B+1, N, N)")
-        if modes.shape[1] < 1:
-            raise ValueError(f"matrix dimension N must be >= 1, got {modes.shape[1]}")
+        _require_dim(modes.shape[1])
         # drop exactly-zero outer shells so the stored bandwidth is honest
         # (arithmetic like f - g routinely cancels the outermost modes)
         while modes.shape[0] > 1 and not modes[0].any() and not modes[-1].any():
@@ -46,6 +50,7 @@ class PeriodicFunction:
 
     @classmethod
     def zero(cls, a: float, n: int = 1) -> "PeriodicFunction":
+        _require_dim(n)
         return cls(a, np.zeros((1, n, n), dtype=complex))
 
     @classmethod
@@ -58,6 +63,8 @@ class PeriodicFunction:
                    *, check_hermitian: bool = True) -> "PeriodicFunction":
         """Build from ``{n: matrix}``; missing ``-n`` entries are filled by
         Hermitian completion."""
+        if n_dim is not None:
+            _require_dim(n_dim)
         if not mode_dict:
             return cls.zero(a, 1 if n_dim is None else n_dim)
         mats = {int(k): np.atleast_2d(np.asarray(v, dtype=complex)) for k, v in mode_dict.items()}

@@ -23,14 +23,13 @@ f_{-3/2}(z) = 4/(z+4) it collapses to the rational form
 Both k-sums run over the whole lattice including k = 0 (the constant-
 potential check Omega = 2 pi a theta e^{-tc} pins that term and the
 coefficient pi a of the quadratic part; see the test suite).  Everything
-here is an asymptotic statement in a sqrt(-lam) (resp. small t/a^2), and
-`SpectralCorrection.scale` carries that regime marker.
+here is an asymptotic statement in a sqrt(-lam) (resp. small t/a^2).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,54 +73,25 @@ def _mode_weights(Q) -> list[tuple[int, float, float]]:
     return out
 
 
-@dataclass(frozen=True)
-class PerturbativeTrace:
-    """Second-order trace value with its mode-resolved ingredients.
-
-    ``mode_terms[k]`` is the total contribution of the +-k pair (already
-    multiplicity-weighted); ``mean_term`` is the theta-dressed Weyl plus
-    tr q0 part.  value = mean_term + sum of mode_terms.
-    """
-
-    t: float
-    value: float
-    mean_term: float
-    mode_terms: dict[int, float]
-
-    @classmethod
-    def omega(cls, problem, t: float) -> "PerturbativeTrace":
-        if not (t > 0.0 and math.isfinite(t)):
-            raise ValueError("omega expansion needs t > 0")
-        Q = problem.Q
-        a = problem.a
-        tau = t / a ** 2
-        tr_q0 = float(np.trace(Q.mean()).real)
-        mean_term = theta(tau) * 2.0 * math.pi * a * (problem.dim - t * tr_q0)
-        mode_terms = {}
-        for k, mult, w in _mode_weights(Q):
-            mode_terms[k] = math.pi * a * t * t * mult * w * beta_k(k, tau)
-        return cls(t=t, value=mean_term + math.fsum(mode_terms.values()),
-                   mean_term=mean_term, mode_terms=mode_terms)
-
-
 def omega_exact2(problem, t: float) -> float:
-    """Normalized heat trace, exact through second order in the potential."""
-    return PerturbativeTrace.omega(problem, t).value
+    """Normalized heat trace, exact through second order in the potential:
+    the theta-dressed Weyl plus tr q0 term, plus one term per +-k pair."""
+    if not (t > 0.0 and math.isfinite(t)):
+        raise ValueError("omega expansion needs t > 0")
+    Q = problem.Q
+    a = problem.a
+    tau = t / a ** 2
+    tr_q0 = float(np.trace(Q.mean()).real)
+    mean_term = theta(tau) * 2.0 * math.pi * a * (problem.dim - t * tr_q0)
+    return mean_term + math.fsum(math.pi * a * t * t * mult * w * beta_k(k, tau)
+                                 for k, mult, w in _mode_weights(Q))
 
 
-@dataclass(frozen=True)
-class SpectralCorrection:
-    """(b_q, gamma) pair with the asymptotic regime marker a sqrt(-lam).
-
-    Iterates as the (b_q, gamma) tuple so callers can unpack directly.
-    """
+class SpectralCorrection(NamedTuple):
+    """The (b_q, gamma) pair of :func:`bq_gamma`."""
 
     b_q: float
     gamma: float
-    scale: float
-
-    def __iter__(self):
-        return iter((self.b_q, self.gamma))
 
 
 def bq_gamma(problem, q: float, lam: float) -> SpectralCorrection:
@@ -143,7 +113,7 @@ def bq_gamma(problem, q: float, lam: float) -> SpectralCorrection:
                      for k, mult, w in weights)
     gamma = (math.pi * a * tr_q0 / math.sqrt(mu)
              - math.pi * a ** 3 / math.sqrt(mu) * gsum)
-    return SpectralCorrection(b_q=b_q, gamma=gamma, scale=a * math.sqrt(mu))
+    return SpectralCorrection(b_q, gamma)
 
 
 def weyl_log_det(problem, lam: float) -> float:
@@ -166,15 +136,22 @@ def resummed_omega(problem, t: float, order: int) -> float:
         for k in range(order + 1))
 
 
+def _require_own_spectrum(problem, eigen) -> None:
+    if eigen.problem is not problem:
+        raise ValueError("eigendata was computed from a different problem")
+
+
 def trace_comparison_rows(problem, eigen, ts, order: int = 6):
-    """(t, Omega_oracle, Omega_eps2, Omega_resummed) rows for reporting."""
+    """(t, Omega_oracle, Omega_eps2, Omega_resummed) rows for reporting;
+    ``eigen`` must be the spectrum of ``problem``."""
     from .oracle import omega as oracle_omega
 
+    _require_own_spectrum(problem, eigen)
     rows = []
     for t in ts:
         rows.append((
             float(t),
-            oracle_omega(eigen, problem, float(t)),
+            oracle_omega(eigen, float(t)),
             omega_exact2(problem, float(t)),
             resummed_omega(problem, float(t), order),
         ))
@@ -182,16 +159,18 @@ def trace_comparison_rows(problem, eigen, ts, order: int = 6):
 
 
 def det_comparison_rows(problem, eigen, lams):
-    """(lam, logDet_oracle, Weyl, gamma) rows for reporting."""
+    """(lam, logDet_oracle, Weyl, gamma) rows for reporting; ``eigen`` must
+    be the spectrum of ``problem``."""
     from .oracle import log_det
 
+    _require_own_spectrum(problem, eigen)
     rows = []
     for lam in lams:
         lam = float(lam)
         corr = bq_gamma(problem, 0.5, lam)
         rows.append((
             lam,
-            log_det(eigen, problem, lam),
+            log_det(eigen, lam),
             weyl_log_det(problem, lam),
             corr.gamma,
         ))

@@ -161,6 +161,48 @@ def test_bad_flag_is_config_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("args, flag", [
+    (["trace", "--t-grid", "0.1", "--n-max", "0"], "--n-max"),
+    (["trace", "--t-grid", "0.1", "--order", "-1"], "--order"),
+    (["kdv", "--flow", "0"], "--flow"),
+    (["kdv", "--flow", "1", "--record", "1"], "--record"),
+    (["kdv", "--flow", "1", "--steps", "0"], "--steps"),
+    (["coeffs", "--k", "-1"], "--k"),
+    (["invariants", "--upto", "-1"], "--upto"),
+    (["kdv", "--flow", "1", "--s-end", "inf"], "--s-end"),
+    (["trace", "--t-grid", "0.1", "--check-tol", "0"], "--check-tol"),
+    (["trace", "--t-grid", "0.1,nan"], "--t-grid"),
+    (["det", "--lam-grid=1,inf"], "--lam-grid"),
+    (["kdv", "--flow", "1", "--invariants", ","], "--invariants"),
+])
+def test_flag_refusal_names_its_flag(capsys, args, flag):
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "config"
+    assert payload["reason"].startswith(f"argument {flag}: must be ")
+
+
+@pytest.mark.parametrize("args", [
+    ["invariants", "--k", "0", "--problem", "huge-mode"],
+    ["det", "--lam-grid=-4", "--n-max", str(10 ** 15)],
+], ids=["mode-index", "n-max"])
+def test_unallocatable_size_is_config_error(tmp_path, capsys, args):
+    # 10**15 modes ask for petabytes, which numpy refuses before touching
+    # any memory; a size that could be allocated must not be tried here
+    huge = {"a": 1.0, "N": 1, "modes": [{"n": 10 ** 15, "matrix": [[[0.5, 0.0]]]}]}
+    args = [write_problem(tmp_path, "huge.json", huge) if a == "huge-mode" else a
+            for a in args]
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "config"
+    assert payload["reason"].startswith(f"{args[0]} needs more memory")
+    assert "Unable to allocate" in payload["reason"]
+
+
 def test_help_exits_zero(capsys):
     code = cli.main(["--help"])
     out = capsys.readouterr().out

@@ -7,8 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from heatkern import diffpoly as dp
 from heatkern.errors import AliasingError, FlowDivergenceError
-from heatkern.heatcoeffs import diagonal_coefficient_recursive, global_invariant
+from heatkern.heatcoeffs import (
+    diagonal_coefficient_recursive,
+    global_invariant,
+    taylor_coefficient,
+)
 from heatkern.kdvflow import (
     _flow_operator,
     conservation_report,
@@ -42,6 +47,13 @@ def test_rescale_constants():
 
 # ------------------------------------------------------------- gradients
 
+def rescaled_gradient(k, Q):
+    """``dI_k/dQ = gradient_rescale(k) [a_k]`` at a scalar potential ``Q``."""
+    poly = taylor_coefficient(k, 0)
+    grid = dp.fft_grid(dp.min_grid(poly, Q.bandwidth))
+    return dp.evaluate(poly, Q, grid) * float(gradient_rescale(k))
+
+
 def test_variational_derivative_low_orders():
     v1 = variational_derivative(1, COS)
     assert v1.bandwidth == 0 and abs(v1.mode(0)[0, 0] - 1.0) <= 1e-15
@@ -50,11 +62,11 @@ def test_variational_derivative_low_orders():
     x = grid_x(32)
     assert np.max(np.abs(v2.sample_scalar(32) - 2.0 * np.cos(x))) <= 1e-13
 
-    g1 = variational_derivative(1, COS, rescaled=True)
+    g1 = rescaled_gradient(1, COS)
     assert np.max(np.abs(g1.sample_scalar(32) + 2.0 * np.cos(x))) <= 1e-13
 
     # dI2/dQ = 6(Q^2 - Q''/3) = 3 + 2 cos x + 3 cos 2x at Q = cos x
-    g2 = variational_derivative(2, COS, rescaled=True)
+    g2 = rescaled_gradient(2, COS)
     x = grid_x(64)
     expect = 3.0 + 2.0 * np.cos(x) + 3.0 * np.cos(2.0 * x)
     assert np.max(np.abs(g2.sample_scalar(64) - expect)) <= 1e-13
@@ -62,7 +74,7 @@ def test_variational_derivative_low_orders():
 
 def kdv_rhs(k, Q):
     """Right-hand side ``D(dI_k/dQ)`` of flow ``k`` at the potential ``Q``."""
-    return variational_derivative(k, Q, rescaled=True).derivative()
+    return rescaled_gradient(k, Q).derivative()
 
 
 def test_kdv_rhs_flow2_cosine():
@@ -75,8 +87,8 @@ def test_kdv_rhs_flow2_cosine():
 
 def test_scalar_only_guards():
     Qm = PeriodicFunction.constant(1.0, np.diag([1.0, 2.0]).astype(complex))
-    with pytest.raises(ValueError):
-        variational_derivative(2, Qm, rescaled=True)
+    with pytest.raises(ValueError, match="scalar-only"):
+        integrate_flow(2, Qm, 0.1, 10)
     with pytest.raises(ValueError):
         variational_derivative(0, COS)
 

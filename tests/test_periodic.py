@@ -101,11 +101,13 @@ def test_from_samples_trims_zero_shells():
 
 
 def test_matrix_dimension_below_one_is_refused():
-    for build in (lambda: PeriodicFunction.from_modes(1.0, {}, 0),
-                  lambda: PeriodicFunction.zero(1.0, 0),
-                  lambda: PeriodicFunction(1.0, np.zeros((3, 0, 0))),
-                  lambda: PeriodicFunction.from_samples(np.zeros((8, 0, 0)), 1.0)):
-        with pytest.raises(ValueError, match="dimension N must be >= 1, got 0"):
+    for build, n in ((lambda: PeriodicFunction.from_modes(1.0, {}, 0), 0),
+                     (lambda: PeriodicFunction.from_modes(1.0, {1: [[1.0]]}, 0), 0),
+                     (lambda: PeriodicFunction.zero(1.0, 0), 0),
+                     (lambda: PeriodicFunction.zero(1.0, -1), -1),
+                     (lambda: PeriodicFunction(1.0, np.zeros((3, 0, 0))), 0),
+                     (lambda: PeriodicFunction.from_samples(np.zeros((8, 0, 0)), 1.0), 0)):
+        with pytest.raises(ValueError, match=f"dimension N must be >= 1, got {n}$"):
             build()
     assert PeriodicFunction.from_modes(1.0, {}).matrix_dim == 1
 

@@ -15,7 +15,6 @@ from heatkern.oracle import (
 from heatkern.oracle import omega as oracle_omega
 from heatkern.periodic import PeriodicFunction
 from heatkern.perturb import (
-    PerturbativeTrace,
     SpectralCorrection,
     beta_k,
     bq_gamma,
@@ -30,7 +29,7 @@ from heatkern.specfun import alpha, theta
 
 def two_eps_cosine(eps, a=1.0):
     # Q = 2 eps cos(x/a): modes q_{+-1} = eps
-    return SpectralProblem.from_potential(PeriodicFunction.cosine(a, 2.0 * eps))
+    return SpectralProblem(PeriodicFunction.cosine(a, 2.0 * eps))
 
 
 # ------------------------------------------------------------------ beta_k
@@ -63,7 +62,7 @@ def test_beta_domain():
 def test_omega_exact2_constant_potential_algebra():
     # for Q = c the expansion must equal 2 pi a theta (1 - tc + t^2c^2/2)
     c, t, a = 0.3, 0.8, 1.5
-    prob = SpectralProblem.from_potential(
+    prob = SpectralProblem(
         PeriodicFunction.constant(a, np.array([[c]], dtype=complex)))
     tau = t / a ** 2
     ref = 2.0 * math.pi * a * theta(tau) * (1.0 - t * c + 0.5 * t * t * c * c)
@@ -71,12 +70,13 @@ def test_omega_exact2_constant_potential_algebra():
 
 
 def test_omega_exact2_mode_breakdown():
-    prob = two_eps_cosine(0.1)
-    detail = PerturbativeTrace.omega(prob, 0.5)
-    assert set(detail.mode_terms) == {1}
-    assert detail.value == pytest.approx(
-        detail.mean_term + sum(detail.mode_terms.values()), abs=1e-15)
-    assert omega_exact2(prob, 0.5) == detail.value
+    # Q = 2 eps cos x has tr q0 = 0 and one +-1 pair with |q_1|^2 = eps^2:
+    # Omega = 2 pi theta(t) + pi t^2 * 2 eps^2 beta_1(t)
+    eps, t = 0.1, 0.5
+    mean_term = 2.0 * math.pi * theta(t)
+    mode_term = math.pi * t * t * 2.0 * eps ** 2 * beta_k(1, t)
+    assert omega_exact2(two_eps_cosine(eps), t) == pytest.approx(
+        mean_term + mode_term, rel=1e-15)
 
 
 def test_omega_exact2_error_scales_as_eps4():
@@ -86,7 +86,7 @@ def test_omega_exact2_error_scales_as_eps4():
     for eps in (0.1, 0.05, 0.025):
         prob = two_eps_cosine(eps)
         e = eigendata(prob, 64)
-        errs.append(abs(oracle_omega(e, prob, 0.5) - omega_exact2(prob, 0.5)))
+        errs.append(abs(oracle_omega(e, 0.5) - omega_exact2(prob, 0.5)))
     slope = np.polyfit(np.log([0.1, 0.05, 0.025]), np.log(errs), 1)[0]
     assert abs(slope - 4.0) <= 0.1
     assert errs[0] <= 1e-5
@@ -94,9 +94,9 @@ def test_omega_exact2_error_scales_as_eps4():
 
 # ---------------------------------------------------------------- bq_gamma
 
-def test_bq_gamma_unpacks_and_carries_scale():
+def test_bq_gamma_unpacks_as_pair():
     # 2x2 Hermitian potential of bandwidth 2 with noncommuting modes
-    matrix = SpectralProblem.from_potential(PeriodicFunction.from_modes(1.0, {
+    matrix = SpectralProblem(PeriodicFunction.from_modes(1.0, {
         0: [[0.3, 0.1 - 0.2j], [0.1 + 0.2j, -0.4]],
         1: [[0.1j, 0.2], [-0.05, 0.15]],
         2: [[0.05, -0.1j], [0.08, 0.02 + 0.03j]],
@@ -108,7 +108,6 @@ def test_bq_gamma_unpacks_and_carries_scale():
         assert b == corr.b_q and g == corr.gamma
         # q = 1/2 reduction: f_{-3/2}(z) = 4/(z+4) turns b_q into gamma
         assert corr.gamma == pytest.approx(corr.b_q, abs=1e-15)
-        assert corr.scale == pytest.approx(2.0)
 
 
 def test_bq_gamma_domain():
@@ -140,7 +139,7 @@ def test_bq_matches_oracle_for_generic_q():
     eps = 0.05
     prob = two_eps_cosine(eps)
     e = eigendata(prob, 140)
-    B = b_function(e, prob, -0.5, -64.0)
+    B = b_function(e, -0.5, -64.0)
     B_free = math.pi / 4.0 / math.tanh(8.0 * math.pi)
     corr = bq_gamma(prob, -0.5, -64.0)
     assert abs((B - B_free) - corr.b_q) <= 1e-11
@@ -164,7 +163,7 @@ def test_resummed_omega_low_orders():
     prob = two_eps_cosine(0.3, a=2.0)
     assert resummed_omega(prob, 0.1, 0) == pytest.approx(4.0 * math.pi)
     c = 0.7
-    const = SpectralProblem.from_potential(
+    const = SpectralProblem(
         PeriodicFunction.constant(1.0, np.array([[c]], dtype=complex)))
     t = 0.4
     partial = sum((-t * c) ** k / math.factorial(k) for k in range(5))
@@ -172,10 +171,10 @@ def test_resummed_omega_low_orders():
 
 
 def test_resummed_omega_tracks_oracle_at_small_t():
-    prob = SpectralProblem.from_potential(PeriodicFunction.cosine(1.0))
+    prob = SpectralProblem(PeriodicFunction.cosine(1.0))
     e = eigendata(prob, 80)
     assert abs(resummed_omega(prob, 0.05, 6)
-               - oracle_omega(e, prob, 0.05)) <= 1e-10
+               - oracle_omega(e, 0.05)) <= 1e-10
 
 
 def test_resummed_omega_domain():
@@ -205,3 +204,13 @@ def test_det_comparison_rows():
         # oracle determinant sits near Weyl + free-boundary + gamma
         free_rest = 2.0 * math.log1p(-math.exp(-2.0 * math.pi * math.sqrt(-lam)))
         assert abs(ld - (weyl + free_rest + g)) <= 1e-4
+
+
+def test_rows_refuse_the_spectrum_of_another_problem():
+    # same radius, different potential: the rows would mix two operators
+    prob = two_eps_cosine(0.1)
+    other = eigendata(two_eps_cosine(0.2), 32)
+    with pytest.raises(ValueError, match="different problem"):
+        trace_comparison_rows(prob, other, [0.5])
+    with pytest.raises(ValueError, match="different problem"):
+        det_comparison_rows(prob, other, [-4.0])
