@@ -171,7 +171,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--s-end", type=_positive_finite, default=1.0)
     p.add_argument("--steps", type=_at_least(1),
                    help="time steps (default: stability heuristic)")
-    p.add_argument("--grid", type=int, default=256)
+    p.add_argument("--grid", type=_at_least(1), default=256)
     p.add_argument("--record", type=_at_least(2), default=33,
                    help="number of snapshots kept (default %(default)s)")
     p.add_argument("--invariants", type=_name_list, default="A2,A3,A4,A5",
@@ -250,7 +250,7 @@ def render_poly(poly) -> str:
     dropped, and terms are ordered by word length then lexicographically,
     so ``[a_1]`` renders as ``Q`` and ``[a_2]`` as ``-1/3*Q'' + Q*Q``.
     """
-    monos = sorted(poly.terms(), key=lambda m: (len(m.word), m.word))
+    monos = poly.terms()
     if not monos:
         return "0"
     pieces = []

@@ -48,23 +48,34 @@ class DiffMonomial:
     coeff: Fraction
     word: Word
 
-    @property
-    def weight(self) -> int:
-        return sum(d + 2 for d in self.word)
-
 
 def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
+    if isinstance(c, (int, Fraction)):
         return Fraction(c)
-    if isinstance(c, str):
-        return Fraction(c)
-    raise ValueError(f"coefficient must be exact (int/Fraction/str), got {type(c).__name__}")
+    raise ValueError(f"coefficient must be exact (int/Fraction), got {type(c).__name__}")
 
 
-def _word_key(w: Word) -> tuple:
-    return (len(w), w)
+def _add_term(terms: dict[Word, Fraction], w: Word, c: Fraction) -> None:
+    """``terms[w] += c``, dropping ``w`` when it cancels; a word that
+    survives keeps its place in the dict."""
+    acc = terms.get(w, 0) + c
+    if acc:
+        terms[w] = acc
+    else:
+        terms.pop(w, None)
+
+
+def _poly(terms: dict[Word, Fraction]) -> "DiffPoly":
+    """Wrap an already canonical term dict without copying it."""
+    p = DiffPoly.__new__(DiffPoly)
+    p._terms = terms
+    return p
+
+
+def _raised(w: Word):
+    """The words of ``D(w)`` by the Leibniz rule, each with coefficient 1."""
+    for i in range(len(w)):
+        yield w[:i] + (w[i] + 1,) + w[i + 1:]
 
 
 class DiffPoly:
@@ -73,31 +84,21 @@ class DiffPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Word, Fraction] | None = None):
-        clean: dict[Word, Fraction] = {}
-        if terms:
-            for word, coeff in terms.items():
-                word = tuple(int(d) for d in word)
-                if any(d < 0 for d in word):
-                    raise ValueError(f"negative derivative order in word {word}")
-                coeff = _as_fraction(coeff)
-                if coeff != 0:
-                    acc = clean.get(word, Fraction(0)) + coeff
-                    if acc:
-                        clean[word] = acc
-                    else:
-                        clean.pop(word, None)
-        self._terms = clean
+        self._terms: dict[Word, Fraction] = {}
+        for word, coeff in (terms or {}).items():
+            word = tuple(int(d) for d in word)
+            if any(d < 0 for d in word):
+                raise ValueError(f"negative derivative order in word {word}")
+            _add_term(self._terms, word, _as_fraction(coeff))
 
     # -- canonical views ------------------------------------------------
 
     def terms(self) -> tuple[DiffMonomial, ...]:
         """Terms in canonical order (length, then sequence)."""
         return tuple(
-            DiffMonomial(self._terms[w], w) for w in sorted(self._terms, key=_word_key)
+            DiffMonomial(self._terms[w], w)
+            for w in sorted(self._terms, key=lambda w: (len(w), w))
         )
-
-    def coefficient(self, word: Iterable[int]) -> Fraction:
-        return self._terms.get(tuple(word), Fraction(0))
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -122,19 +123,6 @@ class DiffPoly:
             bits.append(f"{mono.coeff}*{body}")
         return "DiffPoly(" + " + ".join(bits) + ")"
 
-    # -- grading ---------------------------------------------------------
-
-    def weights(self) -> set[int]:
-        return {sum(d + 2 for d in w) for w in self._terms}
-
-    def is_homogeneous(self, weight: int | None = None) -> bool:
-        ws = self.weights()
-        if not ws:
-            return True
-        if weight is None:
-            return len(ws) == 1
-        return ws == {weight}
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "DiffPoly") -> "DiffPoly":
@@ -142,19 +130,11 @@ class DiffPoly:
             return NotImplemented
         out = dict(self._terms)
         for w, c in other._terms.items():
-            acc = out.get(w, Fraction(0)) + c
-            if acc:
-                out[w] = acc
-            else:
-                out.pop(w, None)
-        p = DiffPoly.__new__(DiffPoly)
-        p._terms = out
-        return p
+            _add_term(out, w, c)
+        return _poly(out)
 
     def __neg__(self) -> "DiffPoly":
-        p = DiffPoly.__new__(DiffPoly)
-        p._terms = {w: -c for w, c in self._terms.items()}
-        return p
+        return _poly({w: -c for w, c in self._terms.items()})
 
     def __sub__(self, other: "DiffPoly") -> "DiffPoly":
         if not isinstance(other, DiffPoly):
@@ -166,19 +146,10 @@ class DiffPoly:
             out: dict[Word, Fraction] = {}
             for w1, c1 in self._terms.items():
                 for w2, c2 in other._terms.items():
-                    w = w1 + w2
-                    acc = out.get(w, Fraction(0)) + c1 * c2
-                    if acc:
-                        out[w] = acc
-                    else:
-                        out.pop(w, None)
-            p = DiffPoly.__new__(DiffPoly)
-            p._terms = out
-            return p
+                    _add_term(out, w1 + w2, c1 * c2)
+            return _poly(out)
         c = _as_fraction(other)
-        p = DiffPoly.__new__(DiffPoly)
-        p._terms = {} if c == 0 else {w: c0 * c for w, c0 in self._terms.items()}
-        return p
+        return _poly({w: c0 * c for w, c0 in self._terms.items()} if c else {})
 
     def __rmul__(self, other):
         # scalars commute with everything; word concatenation is handled in __mul__
@@ -193,23 +164,16 @@ IDENTITY = DiffPoly({(): Fraction(1)})
 
 def make(coeff, word: Iterable[int]) -> DiffPoly:
     """Single-term polynomial ``coeff * Q^(d1)...Q^(dm)``."""
-    return DiffPoly({tuple(word): _as_fraction(coeff)})
+    return DiffPoly({tuple(word): coeff})
 
 
 def differentiate(p: DiffPoly) -> DiffPoly:
     """Total space derivative (Leibniz over each word position)."""
     out: dict[Word, Fraction] = {}
     for w, c in p._terms.items():
-        for i in range(len(w)):
-            dw = w[:i] + (w[i] + 1,) + w[i + 1:]
-            acc = out.get(dw, Fraction(0)) + c
-            if acc:
-                out[dw] = acc
-            else:
-                out.pop(dw, None)
-    q = DiffPoly.__new__(DiffPoly)
-    q._terms = out
-    return q
+        for dw in _raised(w):
+            _add_term(out, dw, c)
+    return _poly(out)
 
 
 def commutative_image(p: DiffPoly) -> DiffPoly:
@@ -221,15 +185,8 @@ def commutative_image(p: DiffPoly) -> DiffPoly:
     """
     out: dict[Word, Fraction] = {}
     for w, c in p._terms.items():
-        sw = tuple(sorted(w))
-        acc = out.get(sw, Fraction(0)) + c
-        if acc:
-            out[sw] = acc
-        else:
-            out.pop(sw, None)
-    q = DiffPoly.__new__(DiffPoly)
-    q._terms = out
-    return q
+        _add_term(out, tuple(sorted(w)), c)
+    return _poly(out)
 
 
 # ---------------------------------------------------------------------------
@@ -271,14 +228,9 @@ def antiderivative(p: DiffPoly, *, commutative: bool = False) -> DiffPoly:
             w = (u[0] - 1,) + u[1:]
             c = rest[u]
         result[w] = c
-        for i in range(len(w)):
-            dw = w[:i] + (w[i] + 1,) + w[i + 1:]
-            if commutative:
-                dw = tuple(sorted(dw))
-            acc = rest.pop(dw, Fraction(0)) - c
-            if acc:
-                rest[dw] = acc
-    return DiffPoly(result)
+        for dw in _raised(w):
+            _add_term(rest, tuple(sorted(dw)) if commutative else dw, -c)
+    return _poly(result)
 
 
 # ---------------------------------------------------------------------------

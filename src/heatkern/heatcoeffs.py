@@ -51,12 +51,11 @@ def matrix_element(m: int, n: int) -> DiffPoly:
     """
     if m < 0 or n < 0:
         raise ValueError("Taylor indices must be nonnegative")
-    out = dp.ZERO
     if n == m + 2:
-        out = out + dp.make(-1, ())
+        return dp.make(-1, ())
     if n <= m:
-        out = out + dp.make(math.comb(m, n), (m - n,))
-    return out
+        return dp.make(math.comb(m, n), (m - n,))
+    return dp.ZERO
 
 
 _TAYLOR_CACHE: dict[tuple[int, int], DiffPoly] = {}
@@ -103,8 +102,8 @@ def apply_E(p: DiffPoly, *, scalar: bool = False) -> DiffPoly:
 
     ``E p = p''' - 2 Q p' - 2 (Q p)' + [Q, p'] + ([Q, p])' + [Q, V]`` where
     ``V`` is the exact antiderivative of ``[Q, p]``.  With ``scalar=True`` the
-    commutator terms vanish and the computation runs in the commutative
-    quotient (words kept sorted), which is the appropriate form for scalar
+    commutator terms vanish and the result is the commutative image (words
+    sorted) of the rest, which is the appropriate form for scalar
     potentials.
 
     The last term needs ``[Q, p]`` to be a total derivative; that holds for
@@ -112,20 +111,15 @@ def apply_E(p: DiffPoly, *, scalar: bool = False) -> DiffPoly:
     explicitly) and :class:`~heatkern.errors.NotExactDerivativeError`
     propagates when called outside that family.
     """
-    if scalar:
-        p = dp.commutative_image(p)
-        d1 = dp.differentiate(p)
-        out = dp.differentiate(dp.differentiate(d1))
-        out = out + (-2) * (_Q * d1)
-        out = out + (-2) * dp.differentiate(_Q * p)
-        return dp.commutative_image(out)
     d1 = dp.differentiate(p)
     out = dp.differentiate(dp.differentiate(d1))
     out = out + (-2) * (_Q * d1)
     out = out + (-2) * dp.differentiate(_Q * p)
-    out = out + _ad_q(d1)
-    out = out + dp.differentiate(_ad_q(p))
+    if scalar:
+        return dp.commutative_image(out)
     bracket = _ad_q(p)
+    out = out + _ad_q(d1)
+    out = out + dp.differentiate(bracket)
     if not bracket.is_zero():
         out = out + _ad_q(dp.antiderivative(bracket))
     return out

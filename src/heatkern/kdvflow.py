@@ -55,9 +55,7 @@ __all__ = [
 
 def invariant_rescale(k: int) -> Fraction:
     """Rescaling constant: ``I_k = invariant_rescale(k) * A_{k+1}``."""
-    if k < 1:
-        raise ValueError("flow index must be >= 1")
-    return Fraction((-1) ** k * math.comb(2 * k, k), k + 1)
+    return Fraction(gradient_rescale(k), k + 1)
 
 
 def gradient_rescale(k: int) -> int:

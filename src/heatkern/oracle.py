@@ -58,8 +58,6 @@ class SpectralProblem:
     def __post_init__(self):
         if not (self.a > 0.0 and math.isfinite(self.a)):
             raise ValueError("radius a must be positive and finite")
-        if self.dim < 1:
-            raise ValueError("bundle dimension must be >= 1")
         # the band solver reads one triangle only: refuse, never symmetrise
         if not self.Q.is_hermitian():
             raise ValueError("potential violates q_{-n} = q_n^dagger")
@@ -88,8 +86,6 @@ class SpectralProblem:
             raw = obj["modes"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"problem JSON missing field: {exc}") from exc
-        if dim < 1:
-            raise ValueError("N must be >= 1")
         if not isinstance(raw, list):
             raise ValueError("modes must be a list of {n, matrix} objects")
         given: dict[int, np.ndarray] = {}

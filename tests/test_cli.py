@@ -348,7 +348,7 @@ def test_kdv_nonpositive_grid_is_config_error(capsys):
         assert len(err.splitlines()) == 1
         payload = json.loads(err)
         assert payload["error"] == "config"
-        assert payload["reason"] == f"grid must be >= 1, got {grid}"
+        assert payload["reason"] == f"argument --grid: must be >= 1, got '{grid}'"
 
 
 def test_unconverged_quadrature_is_resolution_error(monkeypatch, capsys):

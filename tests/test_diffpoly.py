@@ -29,13 +29,23 @@ coeffs = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 polys = st.dictionaries(words, coeffs, min_size=0, max_size=6).map(DiffPoly)
 
 
+def coefficient(p, word):
+    """Coefficient of ``word`` in ``p``, zero when the word is absent."""
+    return {m.word: m.coeff for m in p.terms()}.get(tuple(word), Fraction(0))
+
+
+def weights(p):
+    """The weights of the words of ``p``; letter ``d`` weighs ``d + 2``."""
+    return {sum(d + 2 for d in m.word) for m in p.terms()}
+
+
 # -- algebra basics --------------------------------------------------------------
 
 
 def test_zero_and_identity():
     assert ZERO.is_zero()
     assert len(IDENTITY) == 1
-    assert IDENTITY.coefficient(()) == 1
+    assert coefficient(IDENTITY, ()) == 1
     assert IDENTITY * IDENTITY == IDENTITY
 
 
@@ -84,11 +94,10 @@ def test_commutative_image_is_idempotent_ring_map(p):
 def test_weight_grading():
     # letter d contributes d + 2, so Q''Q has weight 4 + 2 = 6
     p = make(1, (2, 0))
-    assert p.is_homogeneous(6)
-    assert differentiate(p).is_homogeneous(7)
+    assert weights(p) == {6}
+    assert weights(differentiate(p)) == {7}
     q = p + make(1, (0,))
-    assert not q.is_homogeneous()
-    assert q.weights() == {2, 6}
+    assert weights(q) == {2, 6}
 
 
 # -- antiderivative ----------------------------------------------------------------
@@ -102,7 +111,7 @@ def test_antiderivative_inverts_differentiate(p):
     assert differentiate(q) == dp
     # the primitive is unique up to constants, and antiderivative never
     # returns a constant term, so stripping p's constant gives q exactly
-    stripped = p - make(p.coefficient(()), ())
+    stripped = p - make(coefficient(p, ()), ())
     assert q == stripped
 
 
@@ -127,7 +136,7 @@ def test_antiderivative_exact_or_refused(p, commutative):
         return
     dq = differentiate(q)
     assert (commutative_image(dq) if commutative else dq) == p
-    assert q.coefficient(()) == 0
+    assert coefficient(q, ()) == 0
 
 
 def test_antiderivative_refuses_non_derivatives():
