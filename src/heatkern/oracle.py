@@ -9,12 +9,12 @@ downstream takes the spectrum alone:
 
 * ``heat_trace(eigen, t)`` / ``omega(eigen, t)`` -- exponential sums with
   explicit refusal when the truncation cannot support the requested time,
-* ``zeta(eigen, s, lam)`` -- head sum over computed eigenvalues plus an
-  Euler-Maclaurin tail built on the free-plus-mean asymptotics,
 * ``b_function(eigen, q, lam)`` / ``log_det(eigen, lam)`` -- the Mellin
   family B_q(lambda) via a split integral: exact small-t series against the
   local invariants and a closed-form incomplete-gamma tail over the
-  computed spectrum.
+  computed spectrum, split where the series has converged,
+* ``zeta(eigen, s, lam)`` -- the same family at q = 1/2 - s, continued in
+  s down to -5.5 except at its poles.
 
 ``floquet_log_det`` is an entirely independent determinant route (trace of
 the period map minus two) used to cross-check the Mellin machinery.
@@ -210,95 +210,9 @@ def omega(eigen: EigenData, t: float) -> float:
     return math.sqrt(4.0 * math.pi * t) * heat_trace(eigen, t)
 
 
-# --------------------------------------------------------------------- zeta
-
-def _em_tail(s: float, lam: float, a: float, shift: float, W: int) -> float:
-    """Euler-Maclaurin completion of 2*sum_{n>=W} ((n/a)^2 + c)^{-s}.
-
-    c = shift - lam comes from the free-plus-mean eigenvalue asymptotics;
-    the 1/n^2 corrections the approximation ignores are parity-cancelled
-    between +n and -n, so the leftover error is O(W^{-2s-3}).
-    """
-    c = shift - lam
-    if c <= 0.0:
-        raise ValueError("tail shift must stay above lambda")
-    g = (W / a) ** 2 + c
-
-    def f(x):
-        return ((x / a) ** 2 + c) ** (-s)
-
-    # integral_W^infty ((x/a)^2+c)^{-s} dx via the regularized beta function
-    w_tilde = W / (a * math.sqrt(c))
-    u0 = 1.0 / (1.0 + w_tilde ** 2)
-    integral = (
-        a * c ** (0.5 - s) * 0.5
-        * special.betainc(s - 0.5, 0.5, u0) * special.beta(s - 0.5, 0.5)
-    )
-    fp = -2.0 * s * W / a ** 2 * g ** (-s - 1.0)
-    fppp = (
-        12.0 * s * (s + 1.0) * W / a ** 4 * g ** (-s - 2.0)
-        - 8.0 * s * (s + 1.0) * (s + 2.0) * W ** 3 / a ** 6 * g ** (-s - 3.0)
-    )
-    return 2.0 * (integral + 0.5 * f(W) - fp / 12.0 + fppp / 720.0)
-
-
-def zeta(eigen: EigenData, s: float, lam: float) -> float:
-    """Spectral zeta sum_n (lambda_n - lam)^{-s}.
-
-    Head: eigenvalues of the modes |n| <= n_c (a safety margin below the
-    truncation).  Tail: Euler-Maclaurin on (n/a)^2 + d_alpha - lam with
-    d_alpha the mean-mode eigenvalues.  s = 0 returns the continuation
-    value 0 exactly; 0 < s <= 1/2 has no convergent head sum and is
-    refused (use the Mellin route and the functional relation instead), as
-    are a non-finite s or lam.
-    """
-    if not (math.isfinite(s) and math.isfinite(lam)):
-        raise ValueError("zeta needs finite s and lam")
-    if s == 0.0:
-        return 0.0
-    if s <= 0.5:
-        raise ValueError("zeta head sum needs s > 1/2 (or exactly s = 0)")
-    if lam >= eigen.lambda_min:
-        raise ValueError(
-            f"shift lam={lam:g} must lie below lambda_1={eigen.lambda_min:g}"
-        )
-    problem, n_band = eigen.problem, eigen.problem.bandwidth
-    n_c = eigen.n_max - (n_band + 8)
-    if n_c < max(2 * n_band + 2, 4):
-        raise ResolutionError(
-            f"n_max={eigen.n_max} leaves no room for a zeta head",
-            suggestion={"n_max": eigen.n_max + n_band + 16},
-        )
-    head_count = (2 * n_c + 1) * problem.dim
-    head = float(np.sum((eigen.eigenvalues[:head_count] - lam) ** (-s)))
-    tail = 0.0
-    for d in np.linalg.eigvalsh(problem.Q.mean()):
-        tail += _em_tail(s, lam, problem.a, float(d), n_c + 1)
-    return head + tail
-
-
 # ------------------------------------------------------------ Mellin family
 
-@dataclass(frozen=True)
-class MellinPlan:
-    """Split-integral plan for B_q: series on (0, t*], spectrum beyond."""
-
-    t_star: float
-    series_order: int = 8
-
-    def __post_init__(self):
-        if not (self.t_star > 0.0 and math.isfinite(self.t_star)):
-            raise ValueError("split point t_star must be positive")
-        if not 2 <= self.series_order <= 12:
-            raise ValueError("series order outside the supported range 2..12")
-
-    @classmethod
-    def default(cls, problem: SpectralProblem, lam: float) -> "MellinPlan":
-        # Keep |lam| * t_star small so the e^{t lam}-dressed series stays
-        # inside its useful range; a^2/4 caps the split well below the
-        # circle's diffusion scale.
-        t_star = min(problem.a ** 2 / 4.0, 0.2 / max(1.0, -lam))
-        return cls(t_star=t_star)
+SERIES_ORDER = 8
 
 
 def _falling_half(j: int) -> float:
@@ -330,62 +244,40 @@ def _tail_exact_gamma(mu: np.ndarray, t_star: float, q: float, n_ibp: int) -> fl
     return total
 
 
-def b_function(eigen: EigenData, q: float, lam: float,
-               plan: MellinPlan | None = None) -> float:
-    """Mellin transform B_q(lam) of the normalized heat trace.
+def _dressed_series(Q: PeriodicFunction, lam: float) -> list[float]:
+    """Taylor coefficients g_0..g_K of e^{t lam} Omega(t) at t = 0, from the
+    invariants A_0..A_K (K = SERIES_ORDER)."""
+    inv_list = [global_invariant(k, Q).value for k in range(SERIES_ORDER + 1)]
+    return [math.fsum(lam ** (m - k) / math.factorial(m - k)
+                      * (-1.0) ** k * inv_list[k] / math.factorial(k)
+                      for k in range(m + 1))
+            for m in range(SERIES_ORDER + 1)]
 
-    Continuation below the naive convergence strip is by parts-integration
-    of depth ceil(q)+1; the small-t side then integrates the termwise
-    series exactly, the large-t side reduces to upper incomplete gamma
-    functions per computed eigenvalue.  q = 1/2 is the log-determinant.
-    """
-    problem = eigen.problem
-    margin = 1e-3 / problem.a ** 2
-    if not lam <= eigen.lambda_min - margin:
-        raise ValueError(
-            f"lam={lam:g} too close to the spectrum (lambda_1={eigen.lambda_min:g})"
-        )
-    if plan is None:
-        plan = MellinPlan.default(problem, lam)
-    K = plan.series_order
+
+def _mellin_split(eigen: EigenData, q: float, lam: float, g: list[float],
+                  t_star: float) -> float:
+    """B_q(lam) split at t_star: the series g on (0, t*], the spectrum
+    beyond, after ceil(q)+1 integrations by parts."""
     n_ibp = max(0, math.ceil(q) + 1)
-    if n_ibp >= K:
+    if n_ibp >= len(g) - 1:
         raise ValueError(f"q={q:g} needs series order > {n_ibp}")
-    t_star = plan.t_star
-
     mu_all = eigen.eigenvalues - lam
-    if float(mu_all[-1]) * t_star < EXP_CUT:
-        raise ResolutionError(
-            f"truncation top {eigen.lambda_max:.3g} cannot anchor the tail "
-            f"at t_star={t_star:g}",
-            suggestion={"n_max": _suggest_n_max(eigen, t_star, lam)},
-        )
-
-    inv_list = [global_invariant(k, problem.Q).value for k in range(K + 1)]
-    g = []
-    for m in range(K + 1):
-        acc = 0.0
-        for k in range(m + 1):
-            acc += (lam ** (m - k) / math.factorial(m - k)
-                    * (-1.0) ** k * inv_list[k] / math.factorial(k))
-        g.append(acc)
-
     # split-point consistency: the truncated series must still describe the
     # dressed trace at t*, else the answer would silently lose digits
-    g_series = math.fsum(g[m] * t_star ** m for m in range(K + 1))
+    g_series = math.fsum(g_m * t_star ** m for m, g_m in enumerate(g))
     g_exact = math.sqrt(4.0 * math.pi * t_star) * float(
         np.sum(np.exp(-t_star * mu_all)))
     if abs(g_series - g_exact) > 1e-6 * max(1.0, abs(g_exact)):
         raise ResolutionError(
             f"series/spectrum mismatch {abs(g_series - g_exact):.3g} at "
             f"t_star={t_star:g}; the split point sits outside the series range",
-            suggestion={"t_star": t_star / 2.0, "series_order": K + 2},
+            suggestion={"n_max": _suggest_n_max(eigen, t_star / 2.0, lam)},
         )
 
     small = math.fsum(
         g[m] * (math.factorial(m) / math.factorial(m - n_ibp))
         * t_star ** (m - q) / (m - q)
-        for m in range(n_ibp, K + 1)
+        for m in range(n_ibp, len(g))
     )
 
     mu = np.asarray(mu_all[mu_all * t_star <= EXP_CUT + 1.0], dtype=float)
@@ -394,15 +286,73 @@ def b_function(eigen: EigenData, q: float, lam: float,
     return (-1.0) ** n_ibp / special.gamma(n_ibp - q) * (small + tail)
 
 
-def log_det(eigen: EigenData, lam: float, plan: MellinPlan | None = None) -> float:
+def b_function(eigen: EigenData, q: float, lam: float) -> float:
+    """Mellin transform B_q(lam) of the normalized heat trace.
+
+    Continuation below the naive convergence strip is by parts-integration
+    of depth ceil(q)+1; the small-t side then integrates the termwise
+    series exactly, the large-t side reduces to upper incomplete gamma
+    functions per computed eigenvalue.  q = 1/2 is the log-determinant.
+
+    The split point t* is where the last series term g_K t*^K falls to
+    1e-16 g_0, clamped from above by min(a^2/4, 0.2/max(1, -lam)), which
+    keeps |lam| t* small, and from below by EXP_CUT/mu_max, so the computed
+    spectrum reaches the e^{-45} floor of the tail; a truncation too small
+    for both is refused with a workable ``n_max``.
+    """
+    problem = eigen.problem
+    margin = 1e-3 / problem.a ** 2
+    if not lam <= eigen.lambda_min - margin:
+        raise ValueError(
+            f"lam={lam:g} too close to the spectrum (lambda_1={eigen.lambda_min:g})"
+        )
+    hi = min(problem.a ** 2 / 4.0, 0.2 / max(1.0, -lam))
+    lo = EXP_CUT / (eigen.lambda_max - lam)
+    if lo > hi:
+        raise ResolutionError(
+            f"truncation top {eigen.lambda_max:.3g} cannot anchor the tail "
+            f"at t_star={hi:g}",
+            suggestion={"n_max": _suggest_n_max(eigen, hi, lam)},
+        )
+    g = _dressed_series(problem.Q, lam)
+    t_conv = (1e-16 * abs(g[0]) / abs(g[-1])) ** (1.0 / SERIES_ORDER) if g[-1] else hi
+    return _mellin_split(eigen, q, lam, g, max(lo, min(hi, t_conv)))
+
+
+def log_det(eigen: EigenData, lam: float) -> float:
     """log Det(L - lam), i.e. B_q at q = 1/2."""
-    return b_function(eigen, 0.5, lam, plan)
+    return b_function(eigen, 0.5, lam)
+
+
+def zeta(eigen: EigenData, s: float, lam: float) -> float:
+    """Spectral zeta sum_n (lambda_n - lam)^{-s}, continued in s through
+    the Mellin family: zeta(s) = Gamma(s - 1/2) / (2 sqrt(pi) Gamma(s))
+    B_{1/2-s}(lam).
+
+    Refuses the real poles s = 1/2 - k (k >= 0), s < -5.5 (beyond the
+    series order), an s whose value or Gamma factors overflow float64, and
+    a non-finite s or lam.  At s = 0, -1, -2, ... the value is exactly 0.
+    """
+    if not (math.isfinite(s) and math.isfinite(lam)):
+        raise ValueError("zeta needs finite s and lam")
+    if s <= 0.5 and (0.5 - s).is_integer():
+        raise ValueError(f"zeta has a pole at s={s:g}")
+    if s < -5.5:
+        raise ValueError(f"zeta at s={s:g} needs series order > {SERIES_ORDER}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(special.gamma(s - 0.5) * special.rgamma(s)
+                      / (2.0 * math.sqrt(math.pi)) * b_function(eigen, 0.5 - s, lam))
+    if not math.isfinite(value):
+        raise ValueError(f"the Mellin route overflows float64 at s={s:g}")
+    return value + 0.0   # turns -0.0 (s = 0, -2, ...) into 0, never printed "-0"
 
 
 # ------------------------------------------------- independent determinant
 
-def floquet_log_det(problem: SpectralProblem, lam: float,
-                    rtol: float = 1e-12) -> float:
+FLOQUET_RTOL = 1e-12
+
+
+def floquet_log_det(problem: SpectralProblem, lam: float) -> float:
     """log Det(L - lam) through the period map: Det = tr M(lam) - 2.
 
     Scalar problems only.  The fundamental system of -psi'' + (Q-lam) psi
@@ -441,7 +391,7 @@ def floquet_log_det(problem: SpectralProblem, lam: float,
         x0 = period * p / panels
         x1 = period * (p + 1) / panels
         sol = solve_ivp(rhs, (x0, x1), Y, method="DOP853",
-                        rtol=rtol, atol=1e-14, dense_output=False)
+                        rtol=FLOQUET_RTOL, atol=1e-14, dense_output=False)
         if not sol.success:
             raise ArithmeticError(f"period-map integration failed: {sol.message}")
         Y = sol.y[:, -1]

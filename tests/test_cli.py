@@ -243,13 +243,18 @@ def test_det_rows_negative_lambda(capsys):
 
 
 def test_det_resolution_refusal(capsys):
-    code, out, err = run_cli(
-        ["det", "--problem", "constant_a1_N1.json", "--lam-grid=-64",
-         "--n-max", "48"], capsys)
+    args = ["det", "--problem", "constant_a1_N1.json", "--lam-grid=-64"]
+    code, out, err = run_cli(args + ["--n-max", "48"], capsys)
     assert (code, out) == (3, "")
     payload = json.loads(err)
     assert payload["exit"] == 3 and payload["error"] == "resolution"
-    assert payload["suggestion"]["n_max"] > 48
+    # the suggestion names only what a flag sets, and it is sufficient
+    assert list(payload["suggestion"]) == ["n_max"]
+    n_max = payload["suggestion"]["n_max"]
+    assert n_max > 48
+    code, out, err = run_cli(args + ["--n-max", str(n_max)], capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("lam,log_det_oracle,weyl,gamma\n-64,")
 
 
 def test_zeta_rows_match_lattice_sum(capsys):
@@ -261,6 +266,23 @@ def test_zeta_rows_match_lattice_sum(capsys):
     assert s == 2.5
     direct = sum((n * n + 1.0) ** -2.5 for n in range(-4000, 4001))
     assert abs(value - direct) <= 1e-10 * direct
+
+
+def test_zeta_continued_below_one_half(capsys):
+    code, out, err = run_cli(
+        ["zeta", "--problem", "free_a1_N1.json", "--s-grid=0.25,-0.25,-2"],
+        capsys)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == "s,zeta" and len(lines) == 4
+    assert lines[3] == "-2,0"     # the continuation's zero, never "-0"
+    for s in ("0.5", "-1.5", "-6"):
+        code, out, err = run_cli(
+            ["zeta", "--problem", "free_a1_N1.json", f"--s-grid={s}"], capsys)
+        assert (code, out) == (2, ""), s
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "config" and f"s={s}" in payload["reason"]
 
 
 def test_zeta_lambda_above_spectrum_is_config_error(capsys):
