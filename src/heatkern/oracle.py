@@ -10,9 +10,10 @@ downstream takes the spectrum alone:
 * ``heat_trace(eigen, t)`` / ``omega(eigen, t)`` -- exponential sums with
   explicit refusal when the truncation cannot support the requested time,
 * ``b_function(eigen, q, lam)`` / ``log_det(eigen, lam)`` -- the Mellin
-  family B_q(lambda) via a split integral: exact small-t series against the
-  local invariants and a closed-form incomplete-gamma tail over the
-  computed spectrum, split where the series has converged,
+  family B_q(lambda) via a split integral: the small-t series in the local
+  invariants integrated termwise and continued in q, and one upper
+  incomplete gamma per computed eigenvalue beyond, split where the series
+  has converged,
 * ``zeta(eigen, s, lam)`` -- the same family at q = 1/2 - s, continued in
   s down to -5.5 except at its poles.
 
@@ -215,14 +216,6 @@ def omega(eigen: EigenData, t: float) -> float:
 SERIES_ORDER = 8
 
 
-def _falling_half(j: int) -> float:
-    """(1/2)(1/2 - 1)...(1/2 - j + 1); empty product for j = 0."""
-    out = 1.0
-    for i in range(j):
-        out *= 0.5 - i
-    return out
-
-
 def _upper_gamma(beta: float, x: np.ndarray) -> np.ndarray:
     """Unregularized upper incomplete gamma, any real beta, x > 0."""
     if beta > 1e-12:
@@ -232,16 +225,6 @@ def _upper_gamma(beta: float, x: np.ndarray) -> np.ndarray:
     # one stable step of the downward recurrence; x <= ~46 here, so the
     # cancellation costs at most a couple of digits per level
     return (_upper_gamma(beta + 1.0, x) - x ** beta * np.exp(-x)) / beta
-
-
-def _tail_exact_gamma(mu: np.ndarray, t_star: float, q: float, n_ibp: int) -> float:
-    total = 0.0
-    for j in range(n_ibp + 1):
-        beta = n_ibp - q + 0.5 - j
-        coeff = math.comb(n_ibp, j) * _falling_half(j)
-        terms = (-mu) ** (n_ibp - j) * mu ** (-beta) * _upper_gamma(beta, mu * t_star)
-        total += coeff * float(np.sum(terms))
-    return total
 
 
 def _dressed_series(Q: PeriodicFunction, lam: float) -> list[float]:
@@ -256,11 +239,13 @@ def _dressed_series(Q: PeriodicFunction, lam: float) -> list[float]:
 
 def _mellin_split(eigen: EigenData, q: float, lam: float, g: list[float],
                   t_star: float) -> float:
-    """B_q(lam) split at t_star: the series g on (0, t*], the spectrum
-    beyond, after ceil(q)+1 integrations by parts."""
-    n_ibp = max(0, math.ceil(q) + 1)
-    if n_ibp >= len(g) - 1:
-        raise ValueError(f"q={q:g} needs series order > {n_ibp}")
+    """B_q(lam) split at t_star: the series g integrated termwise on
+    (0, t*] and continued in q, one upper incomplete gamma per computed
+    eigenvalue beyond; at q = k = 0, 1, 2, ... the limit (-1)^k k! g_k."""
+    # q <= K - 2 keeps the series part's truncation error, O(t*^(K+1-q)),
+    # at least cubic in t*
+    if not (math.isfinite(q) and q <= len(g) - 3):
+        raise ValueError(f"q={q:g} needs series order > {len(g) - 1}")
     mu_all = eigen.eigenvalues - lam
     # split-point consistency: the truncated series must still describe the
     # dressed trace at t*, else the answer would silently lose digits
@@ -273,26 +258,23 @@ def _mellin_split(eigen: EigenData, q: float, lam: float, g: list[float],
             f"t_star={t_star:g}; the split point sits outside the series range",
             suggestion={"n_max": _suggest_n_max(eigen, t_star / 2.0, lam)},
         )
-
-    small = math.fsum(
-        g[m] * (math.factorial(m) / math.factorial(m - n_ibp))
-        * t_star ** (m - q) / (m - q)
-        for m in range(n_ibp, len(g))
-    )
-
+    if q >= 0 and float(q).is_integer():
+        return (-1.0) ** q * math.factorial(int(q)) * g[int(q)]
+    small = math.fsum(g_m * t_star ** (m - q) / (m - q) for m, g_m in enumerate(g))
     mu = np.asarray(mu_all[mu_all * t_star <= EXP_CUT + 1.0], dtype=float)
-    tail = math.sqrt(4.0 * math.pi) * _tail_exact_gamma(mu, t_star, q, n_ibp)
-
-    return (-1.0) ** n_ibp / special.gamma(n_ibp - q) * (small + tail)
+    tail = math.sqrt(4.0 * math.pi) * math.fsum(
+        mu ** (q - 0.5) * _upper_gamma(0.5 - q, mu * t_star))
+    return (small + tail) / special.gamma(-q)
 
 
 def b_function(eigen: EigenData, q: float, lam: float) -> float:
     """Mellin transform B_q(lam) of the normalized heat trace.
 
-    Continuation below the naive convergence strip is by parts-integration
-    of depth ceil(q)+1; the small-t side then integrates the termwise
-    series exactly, the large-t side reduces to upper incomplete gamma
-    functions per computed eigenvalue.  q = 1/2 is the log-determinant.
+    B_q = [sum_m g_m t*^(m-q) / (m-q) + sqrt(4 pi) sum_n mu_n^(q-1/2)
+    Gamma(1/2-q, mu_n t*)] / Gamma(-q), with mu_n = lambda_n - lam: the
+    termwise integral of the small-t series on (0, t*], which continues in
+    q by itself, plus the exact integral of the computed spectrum beyond.
+    q = 1/2 is the log-determinant; q > 6 is beyond the series order.
 
     The split point t* is where the last series term g_K t*^K falls to
     1e-16 g_0, clamped from above by min(a^2/4, 0.2/max(1, -lam)), which
@@ -302,10 +284,9 @@ def b_function(eigen: EigenData, q: float, lam: float) -> float:
     """
     problem = eigen.problem
     margin = 1e-3 / problem.a ** 2
-    if not lam <= eigen.lambda_min - margin:
-        raise ValueError(
-            f"lam={lam:g} too close to the spectrum (lambda_1={eigen.lambda_min:g})"
-        )
+    if not -math.inf < lam <= eigen.lambda_min - margin:
+        raise ValueError(f"lam={lam:g} is not finite or too close to the "
+                         f"spectrum (lambda_1={eigen.lambda_min:g})")
     hi = min(problem.a ** 2 / 4.0, 0.2 / max(1.0, -lam))
     lo = EXP_CUT / (eigen.lambda_max - lam)
     if lo > hi:

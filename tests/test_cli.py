@@ -203,6 +203,18 @@ def test_unallocatable_size_is_config_error(tmp_path, capsys, args):
     assert "Unable to allocate" in payload["reason"]
 
 
+@pytest.mark.parametrize("t", ["1e-320", "1e300"], ids=["subnormal", "huge"])
+def test_float64_overflow_is_resolution_error(capsys, t):
+    # 1e-320 overflows the n_max suggestion (EXP_CUT / t = inf), 1e300 the
+    # powers of t in the resummed series; neither may end in a traceback
+    code, out, err = run_cli(["trace", "--t-grid", t], capsys)
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "resolution"
+    assert payload["reason"].startswith("trace left the float64 range")
+
+
 def test_help_exits_zero(capsys):
     code = cli.main(["--help"])
     out = capsys.readouterr().out

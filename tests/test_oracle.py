@@ -20,7 +20,7 @@ from heatkern.oracle import (
     _mellin_split,
     _newton_refine_tridiagonal,
     _parity_tridiagonals,
-    _tail_exact_gamma,
+    _upper_gamma,
     assemble,
     b_function,
     eigendata,
@@ -269,10 +269,13 @@ def _chowla_selberg(s, c):
 
 @pytest.mark.parametrize("s, tol", [
     (4.0, 2e-15), (1.5, 2e-15), (0.75, 2e-15), (0.25, 2e-15),
-    (-0.25, 2e-14), (-1.25, 1e-12)])
+    (-0.25, 2e-14), (-1.25, 1e-12),
+    (-2.25, 1.2e-11), (-3.25, 1e-9), (-4.25, 4e-8), (-5.25, 4e-6)])
 def test_zeta_free_circle_chowla_selberg(s, tol):
-    # measured at n_max = 64: <= 7e-16 for s >= 0.25, 4.6e-15 at -0.25 and
-    # 2.1e-13 at -1.25; the error grows with each integration by parts
+    # measured at n_max = 64, worst of the two shifts: <= 4e-16 for
+    # s >= 0.25, 1.1e-15 at -0.25, 1.0e-13 at -1.25, then 6.3e-12, 4.2e-10,
+    # 2.0e-8 and 2.0e-6 at s = -2.25 .. -5.25.  The two halves of the split
+    # are each of size ~ t*^(s-1/2) and cancel, more so as s falls.
     e = eigendata(SpectralProblem.free(1.0), 64)
     for lam in (-1.0, -5.0):
         ref = _chowla_selberg(s, -lam)
@@ -287,6 +290,12 @@ def test_determinant_benchmark():
     val = log_det(e, 0.0)
     assert abs(val - DET_BENCHMARK) <= 1e-6   # acceptance tolerance
     assert abs(val - DET_BENCHMARK) <= 1e-12  # measured headroom
+    # deeper shifts against 2 log(2 sinh(pi sqrt(1 - lam))); measured
+    # 5.5e-14 and 4.2e-16 relative
+    for lam, n_max, tol in ((-16.0, 64, 1e-13), (-64.0, 160, 1e-15)):
+        with mp.workdps(30):
+            ref = float(2 * mp.log(2 * mp.sinh(mp.pi * mp.sqrt(1 - mp.mpf(lam)))))
+        assert abs(log_det(eigendata(prob, n_max), lam) - ref) <= tol * ref
 
 
 def test_split_point_independence():
@@ -309,34 +318,34 @@ def test_split_mismatch_refusal_suggests_n_max():
     assert list(err.value.suggestion) == ["n_max"]
 
 
-def _laguerre_tail(mu, t_star, q, n_ibp, nodes=256):
-    # the large-t side of B_q, sum over mu of
-    # int_{t*}^inf e^{-mu t} t^(n_ibp-q-1) sum_j C(n_ibp, j) (1/2)_j (-mu)^(n_ibp-j) t^(1/2-j) dt,
+def _laguerre_tail(mu, t_star, q, nodes=256):
+    # the large-t side of B_q, sum over mu of int_{t*}^inf t^(-q-1/2) e^(-mu t) dt,
     # by a Gauss-Laguerre rule scaled to each eigenvalue (t = t* + u/mu)
     u, w = special.roots_laguerre(nodes)
     t = t_star + u[None, :] / mu[:, None]
-    F = np.zeros_like(t)
-    for j in range(n_ibp + 1):
-        falling = math.prod(0.5 - i for i in range(j))
-        F += math.comb(n_ibp, j) * falling * (-mu[:, None]) ** (n_ibp - j) * t ** (0.5 - j)
-    F *= t ** (n_ibp - q - 1.0)
-    return float(np.sum(np.exp(-mu * t_star) / mu * (F @ w)))
+    return float(np.sum(np.exp(-mu * t_star) / mu * (t ** (-q - 0.5) @ w)))
 
 
 def test_tail_rules_agree():
-    # the closed-form incomplete-gamma tail against an independent
-    # quadrature on the same eigenvalues; q = 1.5 reaches the negative-order
-    # incomplete gammas.  At q = 1/2 the bound keeps log Det within 1e-8.
+    # the tail's one incomplete gamma per eigenvalue against an independent
+    # quadrature on the same eigenvalues, and against mpmath's incomplete
+    # gamma; q = 1.5 and 4.75 reach the negative orders -1 and -4.25.  At
+    # q = 1/2 the quadrature bound keeps log Det within 1e-8.  At q = 4.75
+    # the quadrature itself is the limit (7.7e-8): t^-5.25 peaks at t* on
+    # a scale the Laguerre nodes resolve poorly for the lowest eigenvalues.
     for prob, lam, t_star in ((constant_problem(1.0), 0.0, 0.2),
                               (cosine_problem(), -2.0, 0.1)):
         e = eigendata(prob, 64)
         mu = e.eigenvalues - lam
         mu = mu[mu * t_star <= EXP_CUT + 1.0]
-        for q in (0.5, -0.7, 1.5):
-            n_ibp = max(0, math.ceil(q) + 1)
-            exact = _tail_exact_gamma(mu, t_star, q, n_ibp)
-            quad = _laguerre_tail(mu, t_star, q, n_ibp)
-            assert abs(exact - quad) <= 1e-9 * abs(exact)
+        for q in (0.5, -0.7, 1.5, 4.75):
+            exact = float(np.sum(mu ** (q - 0.5) * _upper_gamma(0.5 - q, mu * t_star)))
+            quad = _laguerre_tail(mu, t_star, q)
+            assert abs(exact - quad) <= (2e-7 if q > 4 else 1e-9) * abs(exact)
+            with mp.workdps(30):
+                ref = float(mp.fsum(mp.mpf(m) ** (q - 0.5) * mp.gammainc(0.5 - q, m * t_star)
+                                    for m in mu))
+            assert abs(exact - ref) <= 1e-13 * abs(ref)
 
 
 def test_integer_q_reduces_to_invariants():
@@ -346,7 +355,7 @@ def test_integer_q_reduces_to_invariants():
     A = [global_invariant(k, prob.Q).value for k in range(4)]
     for k in range(4):
         exact = sum(math.comb(k, j) * 2.0 ** j * A[k - j] for j in range(k + 1))
-        assert abs(b_function(e, float(k), -2.0) - exact) <= 1e-8
+        assert abs(b_function(e, float(k), -2.0) - exact) <= 1e-12
 
 
 def test_b_at_zero_shift_equals_invariants():
@@ -376,6 +385,9 @@ def test_b_function_domain_margin():
     e = eigendata(prob, 32)
     with pytest.raises(ValueError):
         b_function(e, 0.5, e.lambda_min - 1e-5)
+    # an infinite shift would put t* at 0
+    with pytest.raises(ValueError, match="not finite"):
+        b_function(e, 0.5, -math.inf)
 
 
 def test_b_function_truncation_refusal_and_recovery():
