@@ -189,8 +189,8 @@ def integrate_flow(k: int, Q0: PeriodicFunction, s_end: float, steps: int, *,
         raise ValueError("flows are scalar-only")
     if not (math.isfinite(s_end) and s_end > 0.0):
         raise ValueError("s_end must be positive and finite")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    if not 1 <= steps <= 2 ** 53:  # beyond 2**53, i and dt * i are not exact
+        raise ValueError(f"steps must be between 1 and 2**53, got {steps}")
     if grid < 1:
         raise ValueError(f"grid must be >= 1, got {grid}")
     if grid // 3 < Q0.bandwidth:

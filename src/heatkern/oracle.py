@@ -17,8 +17,9 @@ downstream takes the spectrum alone:
 * ``zeta(eigen, s, lam)`` -- the same family at q = 1/2 - s, continued in
   s down to -5.5 except at its poles.
 
-``floquet_log_det`` is an entirely independent determinant route (trace of
-the period map minus two) used to cross-check the Mellin machinery.
+``floquet_log_det`` is an entirely independent determinant route for any
+bundle dimension (det(I - M) of the 2N x 2N period map M, by multiple
+shooting) used to cross-check the Mellin machinery.
 
 Conventions: potential modes q_n with q_{-n} = q_n^dagger, free eigenvalue
 of mode n is (n/a)^2, eigenvalues are reported sorted ascending.
@@ -87,6 +88,8 @@ class SpectralProblem:
             raw = obj["modes"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"problem JSON missing field: {exc}") from exc
+        except OverflowError as exc:
+            raise ValueError(f"radius a is beyond the float64 range: {exc}") from exc
         if not isinstance(raw, list):
             raise ValueError("modes must be a list of {n, matrix} objects")
         given: dict[int, np.ndarray] = {}
@@ -97,9 +100,9 @@ class SpectralProblem:
             try:
                 m = np.array([[complex(re, im) for re, im in row]
                               for row in entry["matrix"]], dtype=complex)
-            except (TypeError, ValueError) as exc:
-                raise ValueError(
-                    f"mode {n}: matrix must be N rows of N [re, im] pairs") from exc
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"mode {n}: matrix must be N rows of N [re, im] "
+                                 f"pairs of float64 numbers ({exc})") from exc
             if not np.isfinite(m).all():
                 raise ValueError(f"mode {n}: matrix entries must be finite")
             if n in given:
@@ -334,56 +337,52 @@ FLOQUET_RTOL = 1e-12
 
 
 def floquet_log_det(problem: SpectralProblem, lam: float) -> float:
-    """log Det(L - lam) through the period map: Det = tr M(lam) - 2.
+    """log Det(L - lam) through the period map M(lam) of -psi'' + (Q-lam) psi:
+    Det = (-1)^N det(I_2N - M), any bundle dimension N.
 
-    Scalar problems only.  The fundamental system of -psi'' + (Q-lam) psi
-    is integrated over one period in panels with QR-free rescaling (the
-    solutions grow like exp(sqrt(-lam) x)); the accumulated log scale
-    recovers the determinant without overflow.  Completely independent of
-    the eigenvalue/Mellin pipeline — used as a cross-check oracle.
+    M grows like exp(sqrt(-lam) x) and is never formed.  The period is cut
+    into m panels short enough that each propagator P_j (2N x 2N, started
+    from the identity) stays well inside float64; all of them are
+    integrated in one batched call, and det(I - P_m...P_1) is the
+    determinant of the block-cyclic matrix with I on the diagonal and -P_j
+    in block (j+1 mod m, j).  A sign other than (-1)^N means Det <= 0 (an
+    odd number of eigenvalues below lam) and raises ``ArithmeticError``.
+    Completely independent of the eigenvalue/Mellin pipeline — used as a
+    cross-check oracle.
     """
-    if problem.dim != 1:
-        raise ValueError("period-map determinant implemented for dim = 1 only")
-    import cmath
-
     from scipy.integrate import solve_ivp
 
-    a = problem.a
-    period = 2.0 * math.pi * a
-    modes = [(n, complex(problem.Q.mode(n)[0, 0]))
-             for n in range(-problem.bandwidth, problem.bandwidth + 1)
-             if np.any(problem.Q.mode(n))]
-
-    def q_of(x: float) -> float:
-        return sum((m * cmath.exp(1j * n * x / a)).real for n, m in modes)
-
-    m_grid = max(64, 4 * problem.bandwidth + 4)
-    q_scale = float(np.max(np.abs(problem.Q.sample_scalar(m_grid))))
+    N, bw = problem.dim, problem.bandwidth
+    period = 2.0 * math.pi * problem.a
+    q_scale = float(np.max(np.linalg.norm(
+        problem.Q.sample(max(64, 4 * bw + 4)), 2, axis=(1, 2))))
     rate = math.sqrt(max(-lam, 0.0) + q_scale + 1.0)
     panels = max(4, math.ceil(rate * period / 20.0))
+    ns = np.arange(-bw, bw + 1)
+    modes = np.stack([problem.Q.mode(n) for n in ns])
+    starts = period / panels * np.arange(panels)
+    shift = lam * np.eye(N)
 
     def rhs(x, y):
-        w = q_of(x) - lam
-        return [y[1], w * y[0], y[3], w * y[2]]
+        # Q - lam at offset x into every panel at once
+        phases = np.exp(1j / problem.a * np.outer(starts + x, ns))
+        W = np.einsum("jn,nab->jab", phases, modes) - shift
+        P = y.reshape(panels, 2 * N, 2 * N)
+        return np.concatenate([P[:, N:], W @ P[:, :N]], axis=1).ravel()
 
-    Y = np.array([1.0, 0.0, 0.0, 1.0])
-    log_scale = 0.0
-    for p in range(panels):
-        x0 = period * p / panels
-        x1 = period * (p + 1) / panels
-        sol = solve_ivp(rhs, (x0, x1), Y, method="DOP853",
-                        rtol=FLOQUET_RTOL, atol=1e-14, dense_output=False)
-        if not sol.success:
-            raise ArithmeticError(f"period-map integration failed: {sol.message}")
-        Y = sol.y[:, -1]
-        c = float(np.max(np.abs(Y)))
-        Y = Y / c
-        log_scale += math.log(c)
-    trace_scaled = Y[0] + Y[3]
-    inner = trace_scaled - 2.0 * math.exp(-log_scale)
-    if inner <= 0.0:
-        raise ArithmeticError("period-map trace at or below 2: lam not below spectrum?")
-    return log_scale + math.log(inner)
+    start = np.tile(np.eye(2 * N, dtype=complex), (panels, 1, 1)).ravel()
+    sol = solve_ivp(rhs, (0.0, period / panels), start, method="DOP853",
+                    rtol=FLOQUET_RTOL, atol=1e-14)
+    if not sol.success:
+        raise ArithmeticError(f"period-map integration failed: {sol.message}")
+    C = np.eye(panels * 2 * N, dtype=complex).reshape(panels, 2 * N, panels, 2 * N)
+    j = np.arange(panels)
+    C[(j + 1) % panels, :, j, :] = -sol.y[:, -1].reshape(panels, 2 * N, 2 * N)
+    sign, log_abs = np.linalg.slogdet(C.reshape(panels * 2 * N, -1))
+    if (sign * (-1) ** N).real <= 0.0:
+        raise ArithmeticError("period-map determinant is not positive: "
+                              f"lam={lam:g} not below the spectrum?")
+    return float(log_abs)
 
 
 # ------------------------------------------------------ high-precision path

@@ -123,7 +123,12 @@ def test_non_finite_or_non_integer_problem_data_is_config_error(tmp_path, capsys
     ({"a": 1.0, "N": 1, "modes": {"n": 1, "matrix": [[[0.5, 0.0]]]}}, "must be a list"),
     ({"a": 1.0, "N": 1, "modes": [{"n": 1, "matrix": [[0.5, 0.0]]}]}, "[re, im] pairs"),
     ({"a": 1.0, "N": 0, "modes": []}, "N must be >= 1"),
-], ids=["no-n", "modes-object", "matrix-too-flat", "N-zero"])
+    # JSON integers of 401 digits have no float64 value
+    ({"a": 10 ** 400, "N": 1, "modes": []}, "radius a is beyond the float64 range"),
+    ({"a": 1.0, "N": 1, "modes": [{"n": 1, "matrix": [[[10 ** 400, 0]]]}]},
+     "mode 1: matrix must be N rows of N [re, im] pairs of float64 numbers"),
+], ids=["no-n", "modes-object", "matrix-too-flat", "N-zero", "a-beyond-float64",
+        "entry-beyond-float64"])
 def test_malformed_problem_schema_is_config_error(tmp_path, capsys, obj, reason):
     path = write_problem(tmp_path, "bad.json", obj)
     code, out, err = run_cli(["invariants", "--k", "2", "--problem", path], capsys)
@@ -371,6 +376,19 @@ def test_kdv_aliasing_exit3_with_required(tmp_path, capsys):
     payload = json.loads(err)
     assert payload["error"] == "resolution"
     assert payload["required"] > 8
+
+
+@pytest.mark.parametrize("args", [
+    ["--s-end", "1e300"],
+    ["--steps", "100000000000000000000"],
+], ids=["suggested", "given"])
+def test_kdv_step_count_beyond_2_53_is_config_error(capsys, args):
+    code, out, err = run_cli(["kdv", "--flow", "2"] + args, capsys)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "config"
+    assert payload["reason"].startswith("steps must be between 1 and 2**53")
 
 
 def test_kdv_nonpositive_grid_is_config_error(capsys):

@@ -415,6 +415,47 @@ def test_floquet_free_closed_form():
     assert abs(val - DET_BENCHMARK) <= 1e-10
 
 
+def test_floquet_free_bundle_closed_form():
+    # N decoupled free circles: N log (2 sinh(pi a sqrt(-lam)))^2
+    a = 1.7
+    for lam in (-1.0, -26.0, -400.0):
+        expect = 4.0 * math.log(2.0 * math.sinh(math.pi * a * math.sqrt(-lam)))
+        val = floquet_log_det(SpectralProblem.free(a, dim=2), lam)
+        assert abs(val - expect) <= 1e-12 * expect
+
+
+def test_floquet_decoupled_bundle_is_sum_of_scalars():
+    first = {0: 0.3, 1: 0.25 - 0.1j, 2: 0.05j}
+    second = {0: -0.2, 1: 0.4}
+    diagonal = {n: np.diag([first.get(n, 0.0), second.get(n, 0.0)]) for n in range(3)}
+    bundle = SpectralProblem(PeriodicFunction.from_modes(1.0, diagonal, 2))
+    scalars = [SpectralProblem(PeriodicFunction.from_modes(1.0, m)) for m in (first, second)]
+    for lam in (-1.0, -26.0, -400.0):
+        expect = sum(floquet_log_det(p, lam) for p in scalars)
+        assert abs(floquet_log_det(bundle, lam) - expect) <= 1e-12 * expect
+
+
+def test_floquet_matrix_matches_mellin():
+    prob = random_problem(11, dim=2, bandwidth=3)
+    assert np.any(prob.Q.mode(1)[0, 1])          # genuinely coupled
+    e = eigendata(prob, 400)
+    for lam in (-1.0, -26.0, -400.0):
+        mellin = log_det(e, lam)
+        assert abs(floquet_log_det(prob, lam) - mellin) <= 1e-12 * abs(mellin)
+
+
+def test_floquet_refuses_negative_determinant():
+    # cos x: lambda_1..lambda_4 = -0.378, 0.918, 1.293, 4.032; an odd number
+    # of eigenvalues below lam makes Det(L - lam) negative.  Beside it in a
+    # bundle, the constant 5 has its whole spectrum above lam.
+    beside = {0: np.diag([0.0, 5.0]), 1: np.diag([0.5, 0.0])}
+    for prob in (cosine_problem(),
+                 SpectralProblem(PeriodicFunction.from_modes(1.0, beside, 2))):
+        for lam in (0.5, 2.5):
+            with pytest.raises(ArithmeticError):
+                floquet_log_det(prob, lam)
+
+
 # ------------------------------------------------------------ problem JSON
 
 def test_json_hermitian_completion_and_rejection():
@@ -430,6 +471,36 @@ def test_json_hermitian_completion_and_rejection():
     with pytest.raises(ValueError):
         SpectralProblem.from_json_obj({"a": 1.0, "N": 2, "modes": [
             {"n": 0, "matrix": [[[1.0, 0.0]]]}]})  # shape mismatch
+
+
+# Integers are either small or far beyond any allocation (N^2 or 2|n| + 1
+# complex entries overflow numpy's size limit before memory is touched),
+# never in between, so no example allocates anything large.  Each field
+# is well formed about half the time, so some examples load.
+_JSON_INTS = (st.integers(-8, 8) | st.integers(2 ** 62, 10 ** 400)
+              | st.integers(-10 ** 400, -2 ** 62))
+_JSON_LEAVES = st.none() | st.booleans() | st.text(max_size=3) | _JSON_INTS | st.floats()
+_JSON_ANY = st.recursive(
+    _JSON_LEAVES, lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2), max_leaves=6)
+_JSON_ENTRIES = st.floats(-1.0, 1.0) | _JSON_LEAVES
+_JSON_MATRICES = st.integers(1, 2).flatmap(lambda k: st.lists(
+    st.lists(st.lists(_JSON_ENTRIES, min_size=2, max_size=2), min_size=k, max_size=k),
+    min_size=k, max_size=k))
+_JSON_MODES = st.fixed_dictionaries(
+    {"n": st.integers(1, 3) | _JSON_LEAVES, "matrix": _JSON_MATRICES | _JSON_ANY})
+_JSON_PROBLEMS = st.fixed_dictionaries(
+    {"a": st.floats(0.5, 2.0) | _JSON_LEAVES, "N": st.integers(1, 2) | _JSON_LEAVES,
+     "modes": st.lists(_JSON_MODES | _JSON_ANY, max_size=3) | _JSON_ANY}) | _JSON_ANY
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=_JSON_PROBLEMS)
+def test_json_problem_runs_or_is_refused(obj):
+    try:
+        SpectralProblem.from_json_obj(obj)
+    except (ValueError, MemoryError):
+        pass
 
 
 # ---------------------------------------------------- high-precision path
