@@ -12,7 +12,6 @@ kdvflow     integrable hierarchy flows and conservation checks
 """
 
 from .errors import (
-    AliasingError,
     FlowDivergenceError,
     HeatKernError,
     NotExactDerivativeError,
@@ -23,7 +22,6 @@ from .periodic import PeriodicFunction
 __version__ = "0.1.0"
 
 __all__ = [
-    "AliasingError",
     "FlowDivergenceError",
     "HeatKernError",
     "NotExactDerivativeError",

@@ -38,6 +38,7 @@ from .kdvflow import (
     variational_derivative,
 )
 from .oracle import (
+    HP_DPS,
     SpectralProblem,
     eigendata,
     eigenvalues_hp,
@@ -153,16 +154,15 @@ def _check_small_t_asymptotics():
     import mpmath as mp
 
     prob = _cosine_problem()
-    dps, n_max = 50, 280
-    values = eigenvalues_hp(prob, n_max, dps=dps)
+    values = eigenvalues_hp(prob, 280)
     ts = np.geomspace(1e-3, 1e-1, 9)
     residuals = []
-    with mp.workdps(dps):
+    with mp.workdps(HP_DPS):
         coeffs = [mp.mpf(f.numerator) / f.denominator
                   for f in (exact_cosine_invariant(k) for k in range(7))]
         for t in ts:
             tt = mp.mpf(float(t))
-            om = mp.sqrt(4 * mp.pi * tt) * heat_trace_hp(values, tt, dps=dps)
+            om = mp.sqrt(4 * mp.pi * tt) * heat_trace_hp(values, tt)
             series = 2 * mp.pi * mp.fsum(
                 (-tt) ** k / mp.factorial(k) * c for k, c in enumerate(coeffs))
             residuals.append(abs(float(om - series)))

@@ -45,7 +45,7 @@ from importlib import resources
 from pathlib import Path
 
 from .acceptance import CHECK_NAMES, run_all
-from .errors import AliasingError, ResolutionError
+from .errors import ResolutionError
 from .heatcoeffs import global_invariant, taylor_coefficient
 from .kdvflow import (
     conservation_report,
@@ -406,8 +406,6 @@ def main(argv=None) -> int:
         return _fail(2, "config", str(exc))
     try:
         return args.handler(args)
-    except AliasingError as exc:  # ValueError subclass: must come first
-        return _fail(3, "resolution", str(exc), required=exc.required)
     except ResolutionError as exc:
         return _fail(3, "resolution", str(exc), suggestion=exc.suggestion)
     except (ValueError, OSError) as exc:

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import AliasingError, NotExactDerivativeError
+from .errors import NotExactDerivativeError, ResolutionError
 from .periodic import PeriodicFunction
 
 Word = tuple[int, ...]
@@ -266,16 +266,15 @@ def evaluate(p: DiffPoly, Q: PeriodicFunction, grid: int) -> PeriodicFunction:
     """Evaluate ``p`` at a band-limited potential on a uniform grid.
 
     Exact for trigonometric-polynomial ``Q`` up to round-off as long as the
-    grid clears :func:`min_grid`; otherwise raises :class:`AliasingError`
-    instead of silently folding spectral content.
+    grid clears :func:`min_grid`; otherwise raises :class:`ResolutionError`
+    with that grid as its suggestion instead of silently folding spectral
+    content.
     """
-    required = min_grid(p, Q.bandwidth)
-    if grid < required:
-        raise AliasingError(
+    need = min_grid(p, Q.bandwidth)
+    if grid < need:
+        raise ResolutionError(
             f"grid {grid} too coarse for this polynomial at bandwidth "
-            f"{Q.bandwidth}; need at least {required}",
-            required=required,
-        )
+            f"{Q.bandwidth}; need at least {need}", suggestion={"grid": need})
     n = Q.matrix_dim
     eye = np.broadcast_to(np.eye(n, dtype=complex), (grid, n, n))
     samples: dict[int, np.ndarray] = {}

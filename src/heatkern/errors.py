@@ -5,8 +5,9 @@ the most specific class that applies:
 
 * bad user input / malformed configuration  -> ``ValueError`` (or a subclass)
 * a request the solver refuses because the discretisation is too coarse
-  (eigenbasis cutoff, evaluation grid, quadrature split) -> ``ResolutionError``
-  or ``AliasingError``; both carry a suggestion for a workable setting
+  (eigenbasis cutoff, evaluation grid, quadrature split) -> ``ResolutionError``,
+  which carries a suggestion for a workable setting (``n_max``, ``steps`` or
+  ``grid``)
 * an integral that does not exist in the algebra -> ``NotExactDerivativeError``
 """
 
@@ -19,20 +20,6 @@ class HeatKernError(Exception):
 
 class NotExactDerivativeError(HeatKernError, ArithmeticError):
     """Raised when a differential polynomial has no polynomial antiderivative."""
-
-
-class AliasingError(HeatKernError, ValueError):
-    """Raised when an evaluation grid is too coarse for a band-limited product.
-
-    Attributes
-    ----------
-    required : int
-        Smallest grid size that would be accepted.
-    """
-
-    def __init__(self, message: str, required: int):
-        super().__init__(message)
-        self.required = required
 
 
 class ResolutionError(HeatKernError, RuntimeError):

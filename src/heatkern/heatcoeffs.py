@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import diffpoly as dp
 from .diffpoly import DiffPoly
 from .periodic import PeriodicFunction
@@ -187,7 +189,9 @@ def global_invariant(k: int, Q: PeriodicFunction, grid: int | None = None) -> Gl
 
     Results are memoised on ``(k, grid)`` and the potential's exact content
     (radius and mode bytes, never its ``id``), so sweeps over lambda or t
-    evaluate each ``A_k`` once; it holds the 256 newest values.
+    evaluate each ``A_k`` once; it holds the 256 newest values.  A value
+    beyond the float64 range (a tiny radius or huge modes) raises
+    ``FloatingPointError``.
     """
     key = (k, grid) + Q.content_key()
     got = _INVARIANT_CACHE.get(key)
@@ -196,8 +200,11 @@ def global_invariant(k: int, Q: PeriodicFunction, grid: int | None = None) -> Gl
     poly = taylor_coefficient(k, 0)
     if grid is None:
         grid = dp.fft_grid(dp.min_grid(poly, Q.bandwidth))
-    density = dp.evaluate(poly, Q, grid)
-    got = GlobalInvariant(k=k, value=density.trace_integral(), grid=grid)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        value = dp.evaluate(poly, Q, grid).trace_integral()
+    if not math.isfinite(value):
+        raise FloatingPointError(f"A_{k} of this potential is beyond the float64 range")
+    got = GlobalInvariant(k=k, value=value, grid=grid)
     if len(_INVARIANT_CACHE) >= _INVARIANT_CACHE_SIZE:
         del _INVARIANT_CACHE[next(iter(_INVARIANT_CACHE))]
     _INVARIANT_CACHE[key] = got

@@ -36,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import diffpoly as dp
-from .errors import AliasingError, FlowDivergenceError
+from .errors import FlowDivergenceError, ResolutionError
 from .heatcoeffs import diagonal_coefficient_recursive, global_invariant, taylor_coefficient
 from .periodic import PeriodicFunction
 
@@ -70,10 +70,9 @@ def gradient_rescale(k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def variational_derivative(k: int, Q: PeriodicFunction, *,
-                           grid: int | None = None) -> PeriodicFunction:
+def variational_derivative(k: int, Q: PeriodicFunction) -> PeriodicFunction:
     """Functional gradient ``dA_k/dQ = k [a_{k-1}]`` of an integrated
-    invariant at the potential ``Q``.
+    invariant at the potential ``Q``, evaluated on the anti-aliased grid.
 
     The gradient is the density whose pairing ``integral tr(phi . grad)``
     gives the first-order response of the invariant to ``Q -> Q + h phi``.
@@ -81,8 +80,7 @@ def variational_derivative(k: int, Q: PeriodicFunction, *,
     if k < 1:
         raise ValueError("k must be >= 1")
     poly = taylor_coefficient(k - 1, 0)
-    if grid is None:
-        grid = dp.fft_grid(dp.min_grid(poly, Q.bandwidth))
+    grid = dp.fft_grid(dp.min_grid(poly, Q.bandwidth))
     return dp.evaluate(poly, Q, grid) * float(k)
 
 
@@ -195,9 +193,9 @@ def integrate_flow(k: int, Q0: PeriodicFunction, s_end: float, steps: int, *,
         raise ValueError(f"grid must be >= 1, got {grid}")
     if grid // 3 < Q0.bandwidth:
         need = 3 * Q0.bandwidth + (3 * Q0.bandwidth) % 2
-        raise AliasingError(
+        raise ResolutionError(
             f"grid {grid} cannot hold bandwidth {Q0.bandwidth} inside the "
-            f"2/3-rule band; need at least {need}", required=need)
+            f"2/3-rule band; need at least {need}", suggestion={"grid": need})
 
     lin, nonlinear = _flow_operator(k, Q0.a, grid)
     u = np.fft.rfft(Q0.sample_scalar(grid))[:lin.size]

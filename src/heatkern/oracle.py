@@ -48,6 +48,13 @@ def _json_int(value, name: str) -> int:
     return value
 
 
+def _json_float(value, name: str) -> float:
+    """A JSON number; booleans and strings are refused, not converted."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class SpectralProblem:
     """Potential bundle on a circle of radius a: the data of -D^2 + Q.
@@ -83,7 +90,7 @@ class SpectralProblem:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SpectralProblem":
         try:
-            a = float(obj["a"])
+            a = _json_float(obj["a"], "radius a")
             dim = _json_int(obj["N"], "N")
             raw = obj["modes"]
         except (KeyError, TypeError) as exc:
@@ -98,8 +105,8 @@ class SpectralProblem:
                 raise ValueError("every mode entry must be an object with n and matrix")
             n = _json_int(entry["n"], "mode index n")
             try:
-                m = np.array([[complex(re, im) for re, im in row]
-                              for row in entry["matrix"]], dtype=complex)
+                m = np.array([[complex(_json_float(re, "entry"), _json_float(im, "entry"))
+                               for re, im in row] for row in entry["matrix"]], dtype=complex)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"mode {n}: matrix must be N rows of N [re, im] "
                                  f"pairs of float64 numbers ({exc})") from exc
@@ -387,6 +394,9 @@ def floquet_log_det(problem: SpectralProblem, lam: float) -> float:
 
 # ------------------------------------------------------ high-precision path
 
+HP_DPS = 50  # decimal digits of the eigenvalues, the Newton steps and the trace
+
+
 def _parity_tridiagonals(problem: SpectralProblem, n_max: int):
     """Cosine/sine split of a real even scalar potential of bandwidth <= 1.
 
@@ -446,15 +456,15 @@ def _window_edge(diag, off, centre: int, seed: float, log_tol: float,
     return i
 
 
-def _newton_refine_tridiagonal(diag, offsq, seeds, dps: int):
+def _newton_refine_tridiagonal(diag, offsq, seeds):
     """Refine float64 eigenvalue seeds of a symmetric tridiagonal matrix to
-    dps digits via Newton on the characteristic-polynomial recurrence.
+    ``HP_DPS`` digits via Newton on the characteristic-polynomial recurrence.
     ``offsq`` carries the squared couplings (float-to-mpf is exact).
 
     Each seed's recurrence runs only over a window of rows around the row
     whose diagonal is nearest the seed.  The window ends on each side where
     the decay bound of :func:`_window_edge` puts the eigenvalue change from
-    the dropped rows below 10^-(dps+4) max(1, |seed|); where diagonal
+    the dropped rows below 10^-(HP_DPS+4) max(1, |seed|); where diagonal
     dominance never sets in, it is the whole matrix.  A seed whose Newton
     iteration does not converge in 8 steps raises ``ArithmeticError``.
     """
@@ -465,11 +475,11 @@ def _newton_refine_tridiagonal(diag, offsq, seeds, dps: int):
     d = [mp.mpf(x) for x in diag]
     e2 = [mp.mpf(x) for x in offsq]
     refined = []
-    with mp.workdps(dps):
+    with mp.workdps(HP_DPS):
         for seed in seeds:
             seed = float(seed)
             centre = int(np.argmin(np.abs(diag_arr - seed)))
-            log_tol = math.log(max(1.0, abs(seed))) - (dps + 4) * math.log(10.0)
+            log_tol = math.log(max(1.0, abs(seed))) - (HP_DPS + 4) * math.log(10.0)
             lo = _window_edge(diag, off, centre, seed, log_tol, -1)
             hi = _window_edge(diag, off, centre, seed, log_tol, +1)
             lam = mp.mpf(seed)
@@ -483,23 +493,23 @@ def _newton_refine_tridiagonal(diag, offsq, seeds, dps: int):
                     dp_prev, dp = dp, dp_new
                 step = p / dp
                 lam -= step
-                if abs(step) <= mp.mpf(10) ** (-(dps - 2)) * max(1, abs(lam)):
+                if abs(step) <= mp.mpf(10) ** (-(HP_DPS - 2)) * max(1, abs(lam)):
                     break
             else:
                 raise ArithmeticError(
                     f"Newton refinement of seed {seed!r} did not converge "
-                    f"in 8 steps at dps={dps}")
+                    f"in 8 steps at dps={HP_DPS}")
             refined.append(lam)
     return refined
 
 
-def eigenvalues_hp(problem: SpectralProblem, n_max: int, dps: int = 50):
+def eigenvalues_hp(problem: SpectralProblem, n_max: int):
     """All Galerkin eigenvalues (|n| <= n_max) of a real even scalar
-    potential, refined to ``dps`` digits.  Returns a sorted list of mpf.
+    potential, refined to ``HP_DPS`` digits.  Returns a sorted list of mpf.
 
     float64 seeds of the cosine and sine tridiagonal blocks are Newton-refined
     on a window of rows around each seed, cut where the diagonal-dominance
-    decay bound puts the dropped rows' effect below 10^-(dps+4) relative;
+    decay bound puts the dropped rows' effect below 10^-(HP_DPS+4) relative;
     where dominance never sets in the window is the whole block.
     """
     de, oe, do, oo = _parity_tridiagonals(problem, n_max)
@@ -510,17 +520,17 @@ def eigenvalues_hp(problem: SpectralProblem, n_max: int, dps: int = 50):
         else:
             seeds = linalg.eigh_tridiagonal(
                 np.array(diag), np.sqrt(np.array(offsq)), eigvals_only=True)
-        out.extend(_newton_refine_tridiagonal(diag, offsq, seeds, dps))
+        out.extend(_newton_refine_tridiagonal(diag, offsq, seeds))
     return sorted(out)
 
 
-def heat_trace_hp(values, t, dps: int = 50):
+def heat_trace_hp(values, t):
     """High-precision Theta(t) over the sorted spectrum ``values`` of one
     :func:`eigenvalues_hp` run, reusable across many t; same refusal rule
     as the float64 path."""
     import mpmath as mp
 
-    with mp.workdps(dps):
+    with mp.workdps(HP_DPS):
         tt = mp.mpf(t)
         if tt * values[-1] < EXP_CUT + 15:
             n_max = (len(values) - 1) // 2

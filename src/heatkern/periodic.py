@@ -59,8 +59,8 @@ class PeriodicFunction:
         return cls(a, value[None, :, :])
 
     @classmethod
-    def from_modes(cls, a: float, mode_dict: dict, n_dim: int | None = None,
-                   *, check_hermitian: bool = True) -> "PeriodicFunction":
+    def from_modes(cls, a: float, mode_dict: dict,
+                   n_dim: int | None = None) -> "PeriodicFunction":
         """Build from ``{n: matrix}``; missing ``-n`` entries are filled by
         Hermitian completion."""
         if n_dim is not None:
@@ -79,17 +79,16 @@ class PeriodicFunction:
             if m.shape != (dim, dim):
                 raise ValueError(f"mode {n} has shape {m.shape}, expected {(dim, dim)}")
             modes[n + b] = m
-        return cls(a, modes, check_hermitian=check_hermitian)
+        return cls(a, modes)
 
     @classmethod
-    def cosine(cls, a: float, amplitude: float = 1.0, harmonic: int = 1) -> "PeriodicFunction":
-        """Scalar ``amplitude * cos(harmonic * x / a)``."""
+    def cosine(cls, a: float, amplitude: float = 1.0) -> "PeriodicFunction":
+        """Scalar ``amplitude * cos(x / a)``."""
         half = amplitude / 2.0
-        return cls.from_modes(a, {harmonic: [[half]], -harmonic: [[half]]})
+        return cls.from_modes(a, {1: [[half]], -1: [[half]]})
 
     @classmethod
-    def from_samples(cls, values: np.ndarray, a: float,
-                     *, check_hermitian: bool = False) -> "PeriodicFunction":
+    def from_samples(cls, values: np.ndarray, a: float) -> "PeriodicFunction":
         """Recover modes from uniform samples ``values[j] = f(2*pi*a*j/M)``.
 
         The result carries every recoverable mode ``|n| <= (M-1)//2``; outer
@@ -111,7 +110,7 @@ class PeriodicFunction:
         cut = 1e-13 * max(np.max(peak), 1e-300)
         kept = np.flatnonzero(~(np.maximum(peak[:b][::-1], peak[b + 1:]) <= cut))
         keep = int(kept[-1]) + 1 if kept.size else 0
-        return cls(a, spec[np.arange(-keep, keep + 1) % m], check_hermitian=check_hermitian)
+        return cls(a, spec[np.arange(-keep, keep + 1) % m], check_hermitian=False)
 
     # -- basic queries ------------------------------------------------------
 
@@ -133,14 +132,14 @@ class PeriodicFunction:
         """Hashable key of the radius and the exact mode data (bytes)."""
         return (self.a, self._modes.shape, self._modes.tobytes())
 
-    def is_hermitian(self, tol: float = _HERM_TOL) -> bool:
-        b = self.bandwidth
-        scale = max(1.0, float(np.max(np.abs(self._modes))) if self._modes.size else 1.0)
-        for n in range(b + 1):
-            diff = self._modes[b + n] - self._modes[b - n].conj().transpose()
-            if np.max(np.abs(diff)) > tol * scale:
-                return False
-        return True
+    def is_hermitian(self) -> bool:
+        """``q_{-n} = q_n^dagger`` up to ``_HERM_TOL * max(1, max |q_n|)``, compared
+        after dividing by the largest real or imaginary part, so nothing overflows."""
+        q = self._modes
+        s = max(1.0, float(np.max(np.abs(q.real))), float(np.max(np.abs(q.imag))))
+        q = q / s
+        mismatch = np.max(np.abs(q - q[::-1].conj().transpose(0, 2, 1)))
+        return bool(mismatch <= _HERM_TOL * max(1.0 / s, float(np.max(np.abs(q)))))
 
     def mode_norm_sq(self, n: int) -> float:
         """``tr(q_n q_n^dagger)``, the weight entering second-order formulas."""

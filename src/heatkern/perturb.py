@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .heatcoeffs import global_invariant
-from .specfun import EXP_CUT, f_q, integrate_unit_interval, theta
+from .specfun import EXP_CUT, f_q, theta
 
 
 def beta_k(k: int, t: float) -> float:
@@ -43,8 +43,11 @@ def beta_k(k: int, t: float) -> float:
         beta_k(t) = sqrt(t/pi) int_0^1 dxi
                     sum_n exp(-t [n^2 + (1+xi)/2 (k^2 - 2 n k)]).
 
-    The n-sum is a shifted Gaussian centred at (1+xi) k / 2; terms beyond
-    the e^{-45} radius are dropped.  beta_{-k} = beta_k by n -> -n.
+    With x = t k (k - 2n) / 2 the xi-integral of term n is elementary,
+    e^{-t n^2} (e^{-x} - e^{-2x}) / x = e^{-t n^2 - min(x, 2x)} (1 - e^{-|x|}) / |x|;
+    the exponential is the integrand's larger endpoint value (at most 1) and
+    expm1 takes the rest, so nothing overflows or cancels.  Terms beyond the
+    e^{-45} radius of the Gaussian in n are dropped.  beta_{-k} = beta_k.
     """
     if not (t > 0.0 and math.isfinite(t)):
         raise ValueError("beta_k needs t > 0")
@@ -52,15 +55,11 @@ def beta_k(k: int, t: float) -> float:
     radius = math.sqrt(EXP_CUT / t) + 1.0
     ns = np.arange(math.floor(k / 2 - radius), math.ceil(k + radius) + 1,
                    dtype=float)
-
-    def integrand(xs: np.ndarray) -> np.ndarray:
-        c = 0.5 * (1.0 + xs)
-        # complete the square: n^2 + 2c(k^2/2 - nk) = (n - ck)^2 + c(1-c)k^2
-        dev = ns[None, :] - c[:, None] * k
-        expo = -t * (dev * dev + (c * (1.0 - c) * k * k)[:, None])
-        return np.exp(expo).sum(axis=1)
-
-    return math.sqrt(t / math.pi) * integrate_unit_interval(integrand)
+    x = 0.5 * t * k * (k - 2.0 * ns)
+    u = np.abs(x)
+    ramp = np.divide(-np.expm1(-u), u, out=np.ones_like(u), where=u > 0.0)
+    terms = np.exp(-t * ns * ns - np.minimum(x, 2.0 * x)) * ramp
+    return math.sqrt(t / math.pi) * math.fsum(terms)
 
 
 def _mode_weights(Q) -> list[tuple[int, float, float]]:

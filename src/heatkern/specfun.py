@@ -158,23 +158,13 @@ def f_q_quadrature(q: float, z: float) -> float:
     return integrate_unit_interval(lambda xi: (1.0 + (1.0 - xi * xi) * (z / 4.0)) ** q)
 
 
-def _f_nonneg_int(q: int, z: float) -> float:
-    # Terminating series: sum_j q! j! / ((q-j)! (2j+1)!) z^j, exact coefficients.
-    return math.fsum(
-        math.factorial(q)
-        * math.factorial(j)
-        / (math.factorial(q - j) * math.factorial(2 * j + 1))
-        * z**j
-        for j in range(q + 1)
-    )
-
-
 def f_q(q: float, z: float) -> float:
     """The family  int_0^1 (1 + (1 - xi^2) z / 4)^q dxi  on z >= 0.
 
-    Dispatch: q = -3/2 has the rational closed form 4/(z+4); non-negative
-    integer q terminates as a degree-q polynomial; every other q (including
-    -1/2) goes through the quadrature ground truth.
+    q = -3/2, the only order the determinant correction uses, has the
+    rational closed form 4/(z+4); every other q goes through the quadrature
+    ground truth.  For integer 0 <= q <= 15 the integrand is a polynomial of
+    degree 2q, which the quadrature integrates exactly up to round-off.
 
     f_q(0) = 1 for every q, and f_q(z) ~ (Gamma(q+1)^2 / Gamma(2q+2)) z^q
     for large z.
@@ -182,11 +172,6 @@ def f_q(q: float, z: float) -> float:
     z = float(z)
     if z < 0.0:
         raise ValueError("f_q(q, z) requires z >= 0")
-    if z == 0.0:
-        return 1.0
-    q = float(q)
-    if q == -1.5:
+    if float(q) == -1.5:
         return 4.0 / (z + 4.0)
-    if q >= 0.0 and q == int(q):
-        return _f_nonneg_int(int(q), z)
     return f_q_quadrature(q, z)

@@ -1,12 +1,19 @@
 """End-to-end checks of the command-line front end: exit codes, bytes, errors."""
 
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from test_oracle import _JSON_PROBLEMS
 
 from heatkern import cli, perturb
 from heatkern.specfun import integrate_unit_interval
@@ -127,8 +134,19 @@ def test_non_finite_or_non_integer_problem_data_is_config_error(tmp_path, capsys
     ({"a": 10 ** 400, "N": 1, "modes": []}, "radius a is beyond the float64 range"),
     ({"a": 1.0, "N": 1, "modes": [{"n": 1, "matrix": [[[10 ** 400, 0]]]}]},
      "mode 1: matrix must be N rows of N [re, im] pairs of float64 numbers"),
+    # JSON booleans and strings are not numbers, although float() takes them
+    ({"a": True, "N": 1, "modes": []}, "radius a must be a number, got True"),
+    ({"a": "1.5", "N": 1, "modes": []}, "radius a must be a number, got '1.5'"),
+    ({"a": 1.0, "N": 1, "modes": [{"n": 1, "matrix": [[[True, False]]]}]},
+     "mode 1: matrix must be N rows of N [re, im] pairs of float64 numbers "
+     "(entry must be a number, got True)"),
+    # the adjointness check must not overflow near the float64 limit
+    ({"a": 1.0, "N": 1, "modes": [{"n": 0, "matrix": [[[1e308, 1e308]]]}]},
+     "violates q_{-n} = q_n^dagger"),
 ], ids=["no-n", "modes-object", "matrix-too-flat", "N-zero", "a-beyond-float64",
-        "entry-beyond-float64"])
+        "entry-beyond-float64", "a-boolean", "a-string", "entry-boolean",
+        "non-adjoint-near-overflow"])
+@pytest.mark.filterwarnings("error")
 def test_malformed_problem_schema_is_config_error(tmp_path, capsys, obj, reason):
     path = write_problem(tmp_path, "bad.json", obj)
     code, out, err = run_cli(["invariants", "--k", "2", "--problem", path], capsys)
@@ -147,6 +165,30 @@ def test_non_adjoint_mode_pair_is_config_error(tmp_path, capsys):
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1
         assert json.loads(err)["error"] == "config"
+
+
+@settings(max_examples=150, deadline=None)
+@given(obj=_JSON_PROBLEMS)
+@example(obj={"a": 1.0, "N": 1, "modes": [{"n": 0, "matrix": [[[1e308, 1e308]]]}]})
+# A_2 overflows: (n/a)^2 for a tiny radius, Q^2 for a huge mode
+@example(obj={"a": 1e-200, "N": 1, "modes": [{"n": 1, "matrix": [[[0.5, 0.0]]]}]})
+@example(obj={"a": 1.0, "N": 1, "modes": [{"n": 1, "matrix": [[[1e300, 0.0]]]}]})
+def test_any_problem_json_runs_or_is_refused_in_one_line(obj):
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "problem.json"
+        path.write_text(json.dumps(obj))
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = cli.main(["invariants", "--k", "2", "--problem", str(path)])
+    assert [str(w.message) for w in caught] == []
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code in (2, 3)
+        assert out.getvalue() == "" and len(err.getvalue().splitlines()) == 1
+        assert json.loads(err.getvalue())["exit"] == code
 
 
 def test_cli_import_skips_scipy_integrate():
@@ -375,7 +417,7 @@ def test_kdv_aliasing_exit3_with_required(tmp_path, capsys):
     assert code == 3
     payload = json.loads(err)
     assert payload["error"] == "resolution"
-    assert payload["required"] > 8
+    assert payload["suggestion"] == {"grid": 10}
 
 
 @pytest.mark.parametrize("args", [

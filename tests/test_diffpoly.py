@@ -18,7 +18,7 @@ from heatkern.diffpoly import (
     make,
     min_grid,
 )
-from heatkern.errors import AliasingError, NotExactDerivativeError
+from heatkern.errors import NotExactDerivativeError, ResolutionError
 from heatkern.periodic import PeriodicFunction
 
 
@@ -203,12 +203,12 @@ def test_evaluate_differentiate_consistency():
 
 
 def test_evaluate_refuses_aliasing_grids():
-    Q = PeriodicFunction.cosine(1.0, harmonic=3)  # bandwidth 3
+    Q = PeriodicFunction.from_modes(1.0, {3: 0.5})  # bandwidth 3
     p = make(1, (0, 0, 0))
     need = min_grid(p, Q.bandwidth)
-    with pytest.raises(AliasingError) as info:
+    with pytest.raises(ResolutionError) as info:
         evaluate(p, Q, need - 1)
-    assert info.value.required == need
+    assert info.value.suggestion == {"grid": need}
     evaluate(p, Q, need)  # and the boundary grid is accepted
 
 

@@ -506,14 +506,14 @@ def test_json_problem_runs_or_is_refused(obj):
 # ---------------------------------------------------- high-precision path
 
 def test_hp_free_spectrum_exact():
-    vals = eigenvalues_hp(SpectralProblem.free(1.0), 5, dps=30)
+    vals = eigenvalues_hp(SpectralProblem.free(1.0), 5)
     assert [float(v) for v in vals] == [0.0, 1.0, 1.0, 4.0, 4.0, 9.0, 9.0,
                                         16.0, 16.0, 25.0, 25.0]
 
 
 def test_hp_matches_float64():
     prob = cosine_problem()
-    hp = eigenvalues_hp(prob, 40, dps=40)
+    hp = eigenvalues_hp(prob, 40)
     lo = eigendata(prob, 40).eigenvalues
     assert max(abs(float(v) - w) for v, w in zip(hp, lo)) <= 1e-10
 
@@ -522,10 +522,10 @@ def test_hp_trace_agrees_with_float64():
     import mpmath as mp
 
     prob = cosine_problem()
-    vals = eigenvalues_hp(prob, 48, dps=40)
+    vals = eigenvalues_hp(prob, 48)
     e = eigendata(prob, 48)
     t = 0.05
-    hp = heat_trace_hp(vals, mp.mpf(t), dps=40)
+    hp = heat_trace_hp(vals, mp.mpf(t))
     assert abs(float(hp) - heat_trace(e, t)) <= 1e-11
 
 
@@ -589,7 +589,7 @@ def _hp_rel_err(values, reference):
 def test_hp_window_matches_full_recurrence(amplitude, n_max):
     prob = cosine_problem(amplitude=amplitude)
     ref = _hp_reference(prob, n_max)
-    assert _hp_rel_err(eigenvalues_hp(prob, n_max, dps=50), ref) <= 1e-48
+    assert _hp_rel_err(eigenvalues_hp(prob, n_max), ref) <= 1e-48
     if amplitude >= 20.0:
         # the coupling decides the width: any fixed width of 16 rows per side
         # (or fewer) is silently wrong here
@@ -601,7 +601,7 @@ def test_hp_window_matches_full_recurrence(amplitude, n_max):
 @settings(max_examples=20, deadline=None)
 def test_hp_window_matches_full_recurrence_random(amplitude, n_max):
     prob = cosine_problem(amplitude=amplitude)
-    assert _hp_rel_err(eigenvalues_hp(prob, n_max, dps=50),
+    assert _hp_rel_err(eigenvalues_hp(prob, n_max),
                        _hp_reference(prob, n_max)) <= 1e-48
 
 
@@ -609,14 +609,14 @@ def test_hp_newton_refuses_unconverged_seed():
     prob = cosine_problem(amplitude=1.0)
     diag, offsq, _, _ = _parity_tridiagonals(prob, 40)
     with pytest.raises(ArithmeticError, match=r"seed 1000000\.0 .*dps=50"):
-        _newton_refine_tridiagonal(diag, offsq, [1e6], 50)
+        _newton_refine_tridiagonal(diag, offsq, [1e6])
 
 
 def test_hp_path_restrictions():
     Q2 = PeriodicFunction.constant(1.0, np.eye(2, dtype=complex))
     with pytest.raises(ValueError):
         eigenvalues_hp(SpectralProblem(Q2), 8)
-    wide = PeriodicFunction.cosine(1.0, harmonic=2)
+    wide = PeriodicFunction.from_modes(1.0, {2: 0.5})
     with pytest.raises(ValueError):
         eigenvalues_hp(SpectralProblem(wide), 8)
 
@@ -625,5 +625,4 @@ def test_hp_trace_refusal():
     import mpmath as mp
 
     with pytest.raises(ResolutionError):
-        heat_trace_hp(eigenvalues_hp(cosine_problem(), 12, dps=30),
-                      mp.mpf(1) / 1000, dps=30)
+        heat_trace_hp(eigenvalues_hp(cosine_problem(), 12), mp.mpf(1) / 1000)

@@ -9,11 +9,11 @@ from heatkern.periodic import PeriodicFunction
 
 
 def test_cosine_modes():
-    f = PeriodicFunction.cosine(1.0, amplitude=2.0, harmonic=3)
-    assert f.bandwidth == 3
+    f = PeriodicFunction.cosine(1.0, amplitude=2.0)
+    assert f.bandwidth == 1
     assert f.matrix_dim == 1
-    assert np.allclose(f.mode(3), [[1.0]])
-    assert np.allclose(f.mode(-3), [[1.0]])
+    assert np.allclose(f.mode(1), [[1.0]])
+    assert np.allclose(f.mode(-1), [[1.0]])
     assert np.allclose(f.mode(0), [[0.0]])
 
 
@@ -41,14 +41,14 @@ def test_sample_round_trip():
 
 
 def test_sample_refuses_coarse_grid():
-    f = PeriodicFunction.cosine(1.0, harmonic=4)
+    f = PeriodicFunction.from_modes(1.0, {4: 0.5})
     with pytest.raises(ValueError):
         f.sample(8)  # needs 2*4 + 1 = 9
 
 
 def test_scalar_samples_match_cosine():
     a = 2.0
-    f = PeriodicFunction.cosine(a, amplitude=1.5, harmonic=2)
+    f = PeriodicFunction.from_modes(a, {2: 0.75})  # 1.5 cos(2x/a)
     m = 32
     x = 2 * np.pi * a * np.arange(m) / m
     assert np.max(np.abs(f.sample_scalar(m) - 1.5 * np.cos(2 * x / a))) < 1e-14
@@ -81,8 +81,8 @@ def test_mode_norm_sq():
 
 
 def test_arithmetic_pads_bandwidths():
-    f = PeriodicFunction.cosine(1.0, harmonic=1)
-    g = PeriodicFunction.cosine(1.0, harmonic=3)
+    f = PeriodicFunction.cosine(1.0)
+    g = PeriodicFunction.from_modes(1.0, {3: 0.5})
     h = f + g
     assert h.bandwidth == 3
     m = 16

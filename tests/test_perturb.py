@@ -3,6 +3,7 @@ b_q/gamma family, and their agreement with the brute-force oracle."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -49,6 +50,19 @@ def test_beta_continuum_limit_is_alpha():
     assert errs[0] > errs[1] > errs[2]
     assert errs[1] <= 1e-9
     assert errs[2] <= 1e-13
+
+
+@pytest.mark.parametrize("t", [0.05, 1.0, 10.0, 50.0, 200.0])
+def test_beta_matches_quadrature_of_its_definition(t):
+    # the lattice sum of the definition, integrated by mpmath at 30 digits
+    with mp.workdps(30):
+        tt = mp.mpf(t)
+        radius = int(mp.sqrt(80 / tt)) + 3
+        for k in (1, 2, 3, 5, 8):
+            ref = mp.sqrt(tt / mp.pi) * mp.quad(lambda xi: mp.fsum(
+                mp.exp(-tt * (n * n + (1 + xi) / 2 * (k * k - 2 * n * k)))
+                for n in range(-radius, k + radius + 1)), [0, 1])
+            assert abs(beta_k(k, t) - ref) <= 1e-14 * ref, (k, t)
 
 
 def test_beta_domain():
