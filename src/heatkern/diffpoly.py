@@ -262,13 +262,28 @@ def fft_grid(need: int) -> int:
     return 1 << max(3, (need - 1).bit_length())
 
 
+def _horner(node: dict, samples: dict[int, np.ndarray], eye: np.ndarray) -> np.ndarray:
+    """``S(node) = c I + sum_d Q^(d) S(child_d)`` over a word trie whose
+    node maps each next letter to its child and ``None`` to its coefficient;
+    a child that is a bare leaf costs a scaling instead of a product.
+    (Module level: a nested function that calls itself is a reference cycle
+    that keeps every sample alive until the cyclic collector runs.)"""
+    acc = node.get(None, 0.0) * eye
+    for d, child in node.items():
+        if d is not None:
+            acc += (child[None] * samples[d] if child.keys() == {None}
+                    else samples[d] @ _horner(child, samples, eye))
+    return acc
+
+
 def evaluate(p: DiffPoly, Q: PeriodicFunction, grid: int) -> PeriodicFunction:
     """Evaluate ``p`` at a band-limited potential on a uniform grid.
 
     Exact for trigonometric-polynomial ``Q`` up to round-off as long as the
     grid clears :func:`min_grid`; otherwise raises :class:`ResolutionError`
     with that grid as its suggestion instead of silently folding spectral
-    content.
+    content.  Words sharing a prefix share its products (Horner's rule over
+    the trie of words), one batched matrix product per inner trie edge.
     """
     need = min_grid(p, Q.bandwidth)
     if grid < need:
@@ -276,14 +291,12 @@ def evaluate(p: DiffPoly, Q: PeriodicFunction, grid: int) -> PeriodicFunction:
             f"grid {grid} too coarse for this polynomial at bandwidth "
             f"{Q.bandwidth}; need at least {need}", suggestion={"grid": need})
     n = Q.matrix_dim
-    eye = np.broadcast_to(np.eye(n, dtype=complex), (grid, n, n))
-    samples: dict[int, np.ndarray] = {}
-    acc = np.zeros((grid, n, n), dtype=complex)
+    trie: dict = {}
     for word, coeff in p._terms.items():
-        prod = eye
+        node = trie
         for d in word:
-            if d not in samples:
-                samples[d] = Q.derivative(d).sample(grid)
-            prod = prod @ samples[d]
-        acc = acc + float(coeff) * prod
-    return PeriodicFunction.from_samples(acc, Q.a)
+            node = node.setdefault(d, {})
+        node[None] = float(coeff)
+    samples = {d: Q.derivative(d).sample(grid) for d in set().union(*p._terms)}
+    eye = np.broadcast_to(np.eye(n, dtype=complex), (grid, n, n))
+    return PeriodicFunction.from_samples(_horner(trie, samples, eye), Q.a)

@@ -7,7 +7,7 @@ the most specific class that applies:
 * a request the solver refuses because the discretisation is too coarse
   (eigenbasis cutoff, evaluation grid, quadrature split) -> ``ResolutionError``,
   which carries a suggestion for a workable setting (``n_max``, ``steps`` or
-  ``grid``)
+  ``grid``) where one exists
 * an integral that does not exist in the algebra -> ``NotExactDerivativeError``
 """
 

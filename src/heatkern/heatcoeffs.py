@@ -72,14 +72,14 @@ def _taylor_entry(k: int, n: int) -> DiffPoly:
     if k == 0:
         val = _IDENT if n == 0 else dp.ZERO
     else:
-        acc = dp.ZERO
-        # <n|L|m> vanishes unless m <= n or m == n + 2
+        terms: dict[dp.Word, Fraction] = {}
+        # <n|L|m> vanishes unless m <= n or m == n + 2, and is one term
         for m in list(range(n + 1)) + [n + 2]:
-            prev = _taylor_entry(k - 1, m)
-            if prev.is_zero():
-                continue
-            acc = acc + matrix_element(n, m) * prev
-        val = Fraction(k, k + n) * acc
+            (head, c), = matrix_element(n, m)._terms.items()
+            c *= Fraction(k, k + n)
+            for w, cw in _taylor_entry(k - 1, m)._terms.items():
+                dp._add_term(terms, head + w, c * cw)
+        val = dp._poly(terms)
     _TAYLOR_CACHE[(k, n)] = val
     return val
 

@@ -28,6 +28,7 @@ of mode n is (n/a)^2, eigenvalues are reported sorted ascending.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,10 +194,18 @@ def eigendata(problem: SpectralProblem, n_max: int) -> EigenData:
     return EigenData(problem, n_max, vals)
 
 
-def _suggest_n_max(eigen: EigenData, t: float, lam: float = 0.0) -> int:
-    lam_top = EXP_CUT / t + lam
-    need = math.ceil(eigen.problem.a * math.sqrt(max(lam_top, 1.0)))
-    return need + eigen.problem.bandwidth + 2
+def _truncation_error(eigen: EigenData, reason: str, t: float,
+                      lam: float = 0.0) -> ResolutionError:
+    """Refusal of a truncation whose top misses the e^{-45} floor at heat
+    time t, suggesting the n_max that reaches it -- unless that n_max's band
+    storage, (kd+1)(2 n_max+1)N complex entries, exceeds physical memory."""
+    problem = eigen.problem
+    n_max = (math.ceil(problem.a * math.sqrt(max(EXP_CUT / t + lam, 1.0)))
+             + problem.bandwidth + 2)
+    entries = (2 * problem.bandwidth + 1) * problem.dim ** 2 * (2 * n_max + 1)
+    if 16 * entries > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        return ResolutionError(f"{reason}; no n_max that fits in memory can anchor the tail")
+    return ResolutionError(reason, suggestion={"n_max": n_max})
 
 
 def heat_trace(eigen: EigenData, t: float) -> float:
@@ -208,11 +217,9 @@ def heat_trace(eigen: EigenData, t: float) -> float:
     if not (t > 0.0 and math.isfinite(t)):
         raise ValueError("heat time t must be positive and finite")
     if t * eigen.lambda_max < EXP_CUT:
-        raise ResolutionError(
-            f"truncation n_max={eigen.n_max} too small for t={t:g}: "
-            f"t*lambda_max={t * eigen.lambda_max:.2f} < {EXP_CUT}",
-            suggestion={"n_max": _suggest_n_max(eigen, t)},
-        )
+        raise _truncation_error(
+            eigen, f"truncation n_max={eigen.n_max} too small for t={t:g}: "
+            f"t*lambda_max={t * eigen.lambda_max:.2f} < {EXP_CUT}", t)
     return float(np.sum(np.exp(-t * eigen.eigenvalues)))
 
 
@@ -263,11 +270,10 @@ def _mellin_split(eigen: EigenData, q: float, lam: float, g: list[float],
     g_exact = math.sqrt(4.0 * math.pi * t_star) * float(
         np.sum(np.exp(-t_star * mu_all)))
     if abs(g_series - g_exact) > 1e-6 * max(1.0, abs(g_exact)):
-        raise ResolutionError(
-            f"series/spectrum mismatch {abs(g_series - g_exact):.3g} at "
+        raise _truncation_error(
+            eigen, f"series/spectrum mismatch {abs(g_series - g_exact):.3g} at "
             f"t_star={t_star:g}; the split point sits outside the series range",
-            suggestion={"n_max": _suggest_n_max(eigen, t_star / 2.0, lam)},
-        )
+            t_star / 2.0, lam)
     if q >= 0 and float(q).is_integer():
         return (-1.0) ** q * math.factorial(int(q)) * g[int(q)]
     small = math.fsum(g_m * t_star ** (m - q) / (m - q) for m, g_m in enumerate(g))
@@ -290,7 +296,7 @@ def b_function(eigen: EigenData, q: float, lam: float) -> float:
     1e-16 g_0, clamped from above by min(a^2/4, 0.2/max(1, -lam)), which
     keeps |lam| t* small, and from below by EXP_CUT/mu_max, so the computed
     spectrum reaches the e^{-45} floor of the tail; a truncation too small
-    for both is refused with a workable ``n_max``.
+    for both is refused with a workable ``n_max`` where one fits in memory.
     """
     problem = eigen.problem
     margin = 1e-3 / problem.a ** 2
@@ -300,11 +306,9 @@ def b_function(eigen: EigenData, q: float, lam: float) -> float:
     hi = min(problem.a ** 2 / 4.0, 0.2 / max(1.0, -lam))
     lo = EXP_CUT / (eigen.lambda_max - lam)
     if lo > hi:
-        raise ResolutionError(
-            f"truncation top {eigen.lambda_max:.3g} cannot anchor the tail "
-            f"at t_star={hi:g}",
-            suggestion={"n_max": _suggest_n_max(eigen, hi, lam)},
-        )
+        raise _truncation_error(
+            eigen, f"truncation top {eigen.lambda_max:.3g} cannot anchor the "
+            f"tail at t_star={hi:g}", hi, lam)
     g = _dressed_series(problem.Q, lam)
     t_conv = (1e-16 * abs(g[0]) / abs(g[-1])) ** (1.0 / SERIES_ORDER) if g[-1] else hi
     return _mellin_split(eigen, q, lam, g, max(lo, min(hi, t_conv)))

@@ -316,6 +316,29 @@ def test_det_resolution_refusal(capsys):
     assert out.startswith("lam,log_det_oracle,weyl,gamma\n-64,")
 
 
+def test_reachable_truncation_suggests_n_max(capsys):
+    code, out, err = run_cli(["det", "--lam-grid=-1e6"], capsys)
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["suggestion"] == {"n_max": 14969}
+
+
+@pytest.mark.parametrize("args", [
+    ["det", "--lam-grid=-1e300"],
+    ["zeta", "--s-grid", "2", "--lam=-1e300"],
+    ["trace", "--t-grid", "1e-300"],
+], ids=["det", "zeta", "trace"])
+def test_unreachable_truncation_suggests_nothing(capsys, args):
+    # the n_max that would anchor the tail has some 150 digits; no memory
+    # holds its Galerkin band, so the refusal names no n_max
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "resolution" and "suggestion" not in payload
+    assert payload["reason"].endswith("; no n_max that fits in memory can anchor the tail")
+
+
 def test_zeta_rows_match_lattice_sum(capsys):
     code, out, _ = run_cli(
         ["zeta", "--problem", "free_a1_N1.json", "--s-grid", "2.5",

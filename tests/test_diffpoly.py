@@ -1,5 +1,6 @@
 """Exact-arithmetic checks for the noncommutative differential-polynomial layer."""
 
+import gc
 from fractions import Fraction
 
 import numpy as np
@@ -200,6 +201,20 @@ def test_evaluate_differentiate_consistency():
     lhs = evaluate(differentiate(p), Q, grid)
     rhs = evaluate(p, Q, grid).derivative()
     assert np.max(np.abs(lhs.sample(grid) - rhs.sample(grid))) < 1e-12
+
+
+def test_evaluate_leaves_no_reference_cycle():
+    # a cycle would keep every sampled derivative alive until the cyclic
+    # collector runs; words share prefixes so the evaluation recurses
+    Q = _random_potential(np.random.default_rng(3))
+    p = make(1, (0, 0, 1)) + make(2, (0, 0)) + make(3, (0, 2, 1)) + make(1, (1,))
+    gc.collect()
+    gc.disable()
+    try:
+        evaluate(p, Q, 32)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_evaluate_refuses_aliasing_grids():

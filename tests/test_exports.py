@@ -35,9 +35,14 @@ def test_all_names_resolve(name):
 def _references(tree) -> Counter:
     """Identifiers a tree uses: names, attributes, and string constants
     that spell a (dotted) identifier, as in the benchmark's tables of
-    functions to wrap."""
+    functions to wrap.  An ``__all__`` entry exports a name; it is not a use."""
+    exports = {id(node) for assign in ast.walk(tree) if isinstance(assign, ast.Assign)
+               and any(isinstance(t, ast.Name) and t.id == "__all__" for t in assign.targets)
+               for node in ast.walk(assign.value)}
     seen = Counter()
     for node in ast.walk(tree):
+        if id(node) in exports:
+            continue
         if isinstance(node, ast.Name):
             seen[node.id] += 1
         elif isinstance(node, ast.Attribute):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from heatkern.acceptance import exact_cosine_invariant
 from heatkern.diffpoly import (
     DiffPoly,
     IDENTITY,
@@ -13,6 +14,7 @@ from heatkern.diffpoly import (
     commutative_image,
     differentiate,
     evaluate,
+    fft_grid,
     make,
     min_grid,
 )
@@ -69,6 +71,31 @@ def test_first_off_diagonal_entries():
         - make(Fraction(1, 6), (3,))
     )
     assert taylor_coefficient(2, 1) == expected
+
+
+def _ladder(k: int, n: int, memo: dict) -> DiffPoly:
+    """``<n|a_k>`` by polynomial arithmetic: the sum of ``<n|L|m> <m|a_{k-1}>``
+    term by term, then the factor ``k/(k+n)``."""
+    if (k, n) not in memo:
+        if k == 0:
+            memo[k, n] = IDENTITY if n == 0 else ZERO
+        else:
+            acc = ZERO
+            for m in list(range(n + 1)) + [n + 2]:
+                prev = _ladder(k - 1, m, memo)
+                if not prev.is_zero():
+                    acc = acc + matrix_element(n, m) * prev
+            memo[k, n] = Fraction(k, k + n) * acc
+    return memo[k, n]
+
+
+def test_ladder_matches_polynomial_arithmetic_in_value_and_order():
+    # the evaluation trie follows the terms' order, so order is pinned too
+    memo = {}
+    _ladder(8, 0, memo)
+    for (k, n), want in memo.items():
+        got = list(taylor_coefficient(k, n)._terms.items())
+        assert got == list(want._terms.items()), (k, n)
 
 
 def test_homogeneous_weights():
@@ -206,3 +233,44 @@ def test_evaluate_diagonal_coefficient_hermitian():
     modes = np.array([out.mode(n) for n in range(-out.bandwidth, out.bandwidth + 1)])
     mismatch = np.max(np.abs(modes - modes[::-1].conj().transpose(0, 2, 1)))
     assert mismatch <= 1e-11 * max(1.0, np.max(np.abs(modes)))
+
+
+def _word_by_word(p: DiffPoly, Qf: PeriodicFunction, grid: int) -> PeriodicFunction:
+    """Each word's product from the left, scaled and summed, sharing nothing."""
+    n = Qf.matrix_dim
+    samples = {}
+    acc = np.zeros((grid, n, n), dtype=complex)
+    for word, coeff in p._terms.items():
+        prod = np.broadcast_to(np.eye(n, dtype=complex), (grid, n, n))
+        for d in word:
+            if d not in samples:
+                samples[d] = Qf.derivative(d).sample(grid)
+            prod = prod @ samples[d]
+        acc = acc + float(coeff) * prod
+    return PeriodicFunction.from_samples(acc, Qf.a)
+
+
+@pytest.mark.parametrize("dim,bandwidth,k_max", [(2, 3, 8), (1, 2, 10)],
+                         ids=["matrix-bw3", "scalar-bw2"])
+def test_evaluate_matches_word_by_word_products(dim, bandwidth, k_max):
+    rng = np.random.default_rng(17)
+    raw = {n: rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+           for n in range(bandwidth + 1)}
+    raw[0] = raw[0] + raw[0].conj().T
+    Qf = PeriodicFunction.from_modes(1.0, raw, n_dim=dim)
+    for k in range(k_max + 1):
+        p = taylor_coefficient(k, 0)
+        grid = fft_grid(min_grid(p, bandwidth))
+        got, want = evaluate(p, Qf, grid), _word_by_word(p, Qf, grid)
+        b = max(got.bandwidth, want.bandwidth)
+        diff = max(np.max(np.abs(got.mode(n) - want.mode(n))) for n in range(-b, b + 1))
+        peak = max(np.max(np.abs(want.mode(n))) for n in range(-b, b + 1))
+        assert diff <= 1e-13 * peak, k
+
+
+def test_cosine_invariants_match_exact_values():
+    Qc = PeriodicFunction.cosine(1.0)
+    for k in range(11):
+        exact = 2 * math.pi * float(exact_cosine_invariant(k))
+        # A_1 = 0 exactly; every other A_k of cos x is above 1
+        assert abs(global_invariant(k, Qc).value - exact) <= 5e-15 * max(abs(exact), 1.0), k
