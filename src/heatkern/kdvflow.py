@@ -17,8 +17,9 @@ dispersive symbol ``2 (grid/3)^{2k-1}`` would force absurd step counts at
 any useful resolution (for ``k = 3`` on a 256-point grid the bare stability
 limit is below ``1e-9``).  Space is Fourier-collocation with the 2/3 rule
 applied after every pairwise product, so quadratic and cubic terms are
-alias-free.  The state holds only the modes that rule keeps, and one batched
-transform each way serves all derivative orders and all products.
+alias-free.  The state holds only the modes that rule keeps, and one
+transform each way serves all derivative orders and all products: dense real
+DFT matrices while they fit in 2**17 entries, the batched real FFT beyond.
 
 Stability heuristic for choosing ``steps`` (see :func:`suggested_steps`):
 the surviving stiffness comes from variable-coefficient terms like
@@ -111,6 +112,12 @@ class FlowState:
     dt: float
 
 
+# Entries (1 MiB of float64) up to which _flow_operator uses dense DFT
+# matrices: below it a matrix-vector product costs less than the 7-10 us
+# overhead of an np.fft call, above it the O(grid^2) products cost more.
+_MATRIX_ENTRIES = 2 ** 17
+
+
 def _flow_operator(k: int, a: float, grid: int):
     """Split the flow-``k`` right-hand side for integrating-factor stepping.
 
@@ -119,6 +126,12 @@ def _flow_operator(k: int, a: float, grid: int):
     rest.  Both act on the ``grid // 3 + 1`` rfft modes the 2/3 rule keeps
     (``irfft(x, grid)`` zero-pads the others); interior letters of words of
     length 3 or more take an extra dealiasing round trip.
+
+    Where they fit in ``_MATRIX_ENTRIES``, the evaluator applies dense real
+    DFT matrices (derivative symbols, irfft weights, truncation and ``gik``
+    folded in, plus the dealiasing projector for interior letters) and sums
+    the words in physical space, since the final truncation is linear.
+    Beyond that, and for flow 1 (no nonlinear words), it is the batched FFT.
     """
     poly = diagonal_coefficient_recursive(k, scalar=True)
     kept = grid // 3 + 1
@@ -139,7 +152,7 @@ def _flow_operator(k: int, a: float, grid: int):
     plan = [(orders.index(word[0]), [orders.index(d) for d in word[1:-1]],
              orders.index(word[-1]), coeff) for word, coeff in words]
 
-    def nonlinear(u_hat: np.ndarray) -> np.ndarray:
+    def fft_rhs(u_hat: np.ndarray) -> np.ndarray:
         phys = np.fft.irfft(u_hat * powers, grid)
         prods = np.empty((len(plan), grid))
         for prod, (first, inner, last, _) in zip(prods, plan):
@@ -152,7 +165,45 @@ def _flow_operator(k: int, a: float, grid: int):
             acc += coeff * spec
         return gik * acc
 
-    return lin, nonlinear
+    interior = any(inner for _, inner, _, _ in plan)
+    if not plan or ((len(orders) + 1) * grid * 2 * kept
+                    + interior * grid ** 2) > _MATRIX_ENTRIES:
+        return lin, fft_rhs
+    # twiddles from the reduced angle (m j mod grid) in [0, 2 pi): the raw
+    # m j angle loses digits as it grows (2.6e-13 relative at grid 256)
+    m = np.arange(kept)
+    twiddle = np.exp(2j * np.pi / grid * (np.outer(np.arange(grid), m) % grid))
+    back = twiddle * (np.where(m == 0, 1.0, 2.0) / grid)
+    # real forms act on u_hat.view(float64), i.e. (Re u_0, Im u_0, Re u_1, ...)
+    fold = (powers[:, None, :] * back).reshape(-1, kept)
+    to_phys = np.stack([fold.real, -fold.imag], axis=-1).reshape(-1, 2 * kept)
+    fold = gik[:, None] * twiddle.T.conj()
+    to_spec = np.stack([fold.real, fold.imag], axis=1).reshape(2 * kept, grid)
+    dealias = (back @ twiddle.T.conj()).real if interior else None
+    coeffs = np.array([coeff for _, _, _, coeff in plan])
+
+    def matrix_rhs(u_hat: np.ndarray) -> np.ndarray:
+        phys = (to_phys @ u_hat.view(np.float64)).reshape(-1, grid)
+        prods = np.empty((len(plan), grid))
+        for prod, (first, inner, last, _) in zip(prods, plan):
+            cur = phys[first]
+            for r in inner:
+                cur = dealias @ (cur * phys[r])
+            np.multiply(cur, phys[last], out=prod)
+        return (to_spec @ (coeffs @ prods)).view(np.complex128)
+
+    return lin, matrix_rhs
+
+
+def _check_grid(Q0: PeriodicFunction, grid: int) -> None:
+    """Refuse a grid whose 2/3-rule band cannot hold ``Q0``."""
+    if grid < 1:
+        raise ValueError(f"grid must be >= 1, got {grid}")
+    if grid // 3 < Q0.bandwidth:
+        need = 3 * Q0.bandwidth + (3 * Q0.bandwidth) % 2
+        raise ResolutionError(
+            f"grid {grid} cannot hold bandwidth {Q0.bandwidth} inside the "
+            f"2/3-rule band; need at least {need}", suggestion={"grid": need})
 
 
 def suggested_steps(k: int, Q0: PeriodicFunction, s_end: float, grid: int = 256) -> int:
@@ -166,6 +217,7 @@ def suggested_steps(k: int, Q0: PeriodicFunction, s_end: float, grid: int = 256)
     turns weakly unstable near the dealiasing cutoff well before the plain
     CFL limit would bite.
     """
+    _check_grid(Q0, grid)
     if k == 1:
         return 64  # the transport flow is handled exactly by the phase factors
     amp = 2.0 * max(1.0, float(np.max(np.abs(Q0.sample_scalar(max(64, grid))))))
@@ -189,13 +241,7 @@ def integrate_flow(k: int, Q0: PeriodicFunction, s_end: float, steps: int, *,
         raise ValueError("s_end must be positive and finite")
     if not 1 <= steps <= 2 ** 53:  # beyond 2**53, i and dt * i are not exact
         raise ValueError(f"steps must be between 1 and 2**53, got {steps}")
-    if grid < 1:
-        raise ValueError(f"grid must be >= 1, got {grid}")
-    if grid // 3 < Q0.bandwidth:
-        need = 3 * Q0.bandwidth + (3 * Q0.bandwidth) % 2
-        raise ResolutionError(
-            f"grid {grid} cannot hold bandwidth {Q0.bandwidth} inside the "
-            f"2/3-rule band; need at least {need}", suggestion={"grid": need})
+    _check_grid(Q0, grid)
 
     lin, nonlinear = _flow_operator(k, Q0.a, grid)
     u = np.fft.rfft(Q0.sample_scalar(grid))[:lin.size]
@@ -222,10 +268,12 @@ def integrate_flow(k: int, Q0: PeriodicFunction, s_end: float, steps: int, *,
             k4 = nonlinear(full_u + dt * (half * k3))
             u = full_u + sixth_dt * (full * k1 + twice_half * (k2 + k3) + k4)
             if not np.all(np.isfinite(u)):
+                fits = 4 * steps <= 2 ** 53
                 raise FlowDivergenceError(
                     f"flow {k} blew up near s = {dt * i:.6g} (dt = {dt:.3g}); "
-                    "the step exceeds the stability envelope",
-                    state=trajectory[-1], suggestion={"steps": 4 * steps})
+                    "the step exceeds the stability envelope"
+                    + ("" if fits else ", and no step count under the 2**53 cap helps"),
+                    state=trajectory[-1], suggestion={"steps": 4 * steps} if fits else None)
             if i in record_at:
                 trajectory.append(snapshot(i, u))
     return trajectory

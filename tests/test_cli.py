@@ -443,6 +443,29 @@ def test_kdv_aliasing_exit3_with_required(tmp_path, capsys):
     assert payload["suggestion"] == {"grid": 10}
 
 
+def test_kdv_grid_refusal_with_or_without_steps(tmp_path, capsys):
+    # the step heuristic samples Q0 only after the same 2/3-rule check
+    wide = {"a": 1.0, "N": 1, "modes": [{"n": 40, "matrix": [[[0.2, 0.0]]]}]}
+    path = write_problem(tmp_path, "wide40.json", wide)
+    results = [run_cli(["kdv", "--problem", path, "--flow", "2", "--grid", "70"]
+                       + steps, capsys) for steps in (["--steps", "100"], [])]
+    assert results[0] == results[1]
+    code, out, err = results[0]
+    assert (code, out) == (3, "") and len(err.splitlines()) == 1
+    assert json.loads(err)["suggestion"] == {"grid": 120}
+
+
+def test_kdv_divergence_beyond_the_step_cap_suggests_nothing(tmp_path, capsys):
+    path = write_problem(tmp_path, "cosine.json", COSINE)
+    code, out, err = run_cli(
+        ["kdv", "--problem", path, "--flow", "2", "--s-end", "1e30",
+         "--steps", str(2 ** 52), "--grid", "64"], capsys)
+    assert (code, out) == (3, "") and len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "resolution" and "suggestion" not in payload
+    assert "no step count under the 2**53 cap helps" in payload["reason"]
+
+
 @pytest.mark.parametrize("args", [
     ["--s-end", "1e300"],
     ["--steps", "100000000000000000000"],

@@ -15,6 +15,7 @@ from heatkern.heatcoeffs import (
     taylor_coefficient,
 )
 from heatkern.kdvflow import (
+    _MATRIX_ENTRIES,
     _flow_operator,
     conservation_report,
     gradient_rescale,
@@ -282,28 +283,75 @@ def full_spectrum_flow(k, Q0, s_end, steps, grid, record):
     return out
 
 
-FLOW_Q0 = PeriodicFunction.from_modes(1.0, {0: 0.2, 1: 0.3 - 0.1j, 3: 0.05j})
+def flow_s_end(k, grid):
+    """A flow-``k`` horizon that 24 steps on ``grid`` carry stably: the
+    stiffness grows as ``(grid/3)^(2k-3)``."""
+    return {1: 0.3, 2: 1e-3, 3: 1e-5, 4: 1e-7}[k] * min(1.0, 96 / grid) ** (2 * k - 3)
+
+
+def evaluator(k, grid):
+    """Which transform ``_flow_operator`` chose for flow ``k`` on ``grid``."""
+    return _flow_operator(k, 1.0, grid)[1].__qualname__.rsplit(".", 1)[-1]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
-@pytest.mark.parametrize("grid", [48, 64, 96])
+@pytest.mark.parametrize("grid", [48, 64, 96, 384, 512])
 def test_flow_matches_full_spectrum_bitwise(k, grid):
-    # k = 1 has no nonlinear words; k >= 3 dealiases interior letters, and
-    # k = 4 has word coefficients (2/5, 3/5, 4/5) that are not powers of two
-    lin, nonlinear = _flow_operator(k, 1.0, grid)
-    ref_lin, trunc, ref_nonlinear = full_spectrum_operator(k, 1.0, grid)
+    # The FFT evaluator matches the reference bit for bit: for every k above
+    # the dense-matrix bound (384, 512), and for k = 1, which has no
+    # nonlinear words.  The matrix evaluator (k >= 2 on 48..96) sums in
+    # another order and matches to round-off.  k >= 3 dealiases interior
+    # letters; k = 4 has word coefficients (2/5, 3/5, 4/5) that are not
+    # powers of two.
+    bitwise = evaluator(k, grid) == "fft_rhs"
+    assert bitwise == (k == 1 or grid > 96)
     kept = grid // 3 + 1
-    assert lin.size == kept and lin.tobytes() == ref_lin[:kept].tobytes()
-    u = trunc(np.fft.rfft(FLOW_Q0.sample_scalar(grid)))
-    assert nonlinear(u[:kept]).tobytes() == ref_nonlinear(u)[:kept].tobytes()
+    s_end = flow_s_end(k, grid)
+    for a in (1.0, 2.5):
+        Q0 = PeriodicFunction.from_modes(a, {0: 0.2, 1: 0.3 - 0.1j, 3: 0.05j})
+        lin, nonlinear = _flow_operator(k, a, grid)
+        ref_lin, trunc, ref_nonlinear = full_spectrum_operator(k, a, grid)
+        assert lin.size == kept and lin.tobytes() == ref_lin[:kept].tobytes()
+        # Q0, and a state that fills the kept band, so that products alias
+        noise = np.random.default_rng(grid).normal(size=grid)
+        for samples in (Q0.sample_scalar(grid), noise):
+            u = trunc(np.fft.rfft(samples))
+            rhs, ref_rhs = nonlinear(u[:kept]), ref_nonlinear(u)[:kept]
+            if bitwise:
+                assert rhs.tobytes() == ref_rhs.tobytes()
+            else:
+                assert np.max(np.abs(rhs - ref_rhs)) <= 2e-14 * np.max(np.abs(ref_rhs))
 
-    s_end = {1: 0.3, 2: 1e-3, 3: 1e-5, 4: 1e-7}[k]
-    trajectory = integrate_flow(k, FLOW_Q0, s_end, 24, grid=grid, record=5)
-    reference = full_spectrum_flow(k, FLOW_Q0, s_end, 24, grid, 5)
-    assert len(trajectory) == len(reference) == 5
-    for state, values in zip(trajectory, reference):
-        expect = PeriodicFunction.from_samples(values, 1.0)
-        assert state.Q.content_key() == expect.content_key()
+        trajectory = integrate_flow(k, Q0, s_end, 24, grid=grid, record=5)
+        reference = full_spectrum_flow(k, Q0, s_end, 24, grid, 5)
+        assert len(trajectory) == len(reference) == 5
+        for state, values in zip(trajectory, reference):
+            expect = PeriodicFunction.from_samples(values, a)
+            if bitwise:
+                assert state.Q.content_key() == expect.content_key()
+            else:
+                assert state.Q.bandwidth == expect.bandwidth
+                got, want = state.Q.sample_scalar(grid), expect.sample_scalar(grid)
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_evaluator_selection():
+    # verify's three flows, and flow 3 one grid up, fit the dense matrices
+    for k, grid in ((2, 256), (3, 64), (2, 96), (3, 128)):
+        assert evaluator(k, grid) == "matrix_rhs", (k, grid)
+    for k, grid in ((3, 256), (2, 384)):
+        assert evaluator(k, grid) == "fft_rhs", (k, grid)
+    # flow 1 has no nonlinear words: the FFT path returns gik * zeros as is
+    u = np.fft.rfft(COS.sample_scalar(64))[:22]
+    gik = float(gradient_rescale(1)) * (1j * np.arange(22, dtype=float))
+    assert _flow_operator(1, 1.0, 64)[1](u).tobytes() == (gik * np.zeros(22, complex)).tobytes()
+    for k in (2, 3, 4):
+        for grid in range(32, 400, 16):
+            rhs = _flow_operator(k, 1.0, grid)[1]
+            held = sum(cell.cell_contents.size for cell in rhs.__closure__
+                       if isinstance(cell.cell_contents, np.ndarray)
+                       and cell.cell_contents.ndim == 2)
+            assert rhs.__name__ == "fft_rhs" or held <= _MATRIX_ENTRIES, (k, grid)
 
 
 # ---------------------------------------------------------------- reports
