@@ -252,7 +252,6 @@ def _check_conservation_involution():
                                ["I1", "I2", "I3"])
     cross[3] = rep3.max_drift
 
-    ratios = []
     drifts = []
     for steps in (1000, 2000):
         tr = integrate_flow(2, cos1, 0.5, steps, grid=96, record=17)

@@ -17,9 +17,9 @@ dispersive symbol ``2 (grid/3)^{2k-1}`` would force absurd step counts at
 any useful resolution (for ``k = 3`` on a 256-point grid the bare stability
 limit is below ``1e-9``).  Space is Fourier-collocation with the 2/3 rule
 applied after every pairwise product, so quadratic and cubic terms are
-alias-free.  The state holds only the modes that rule keeps, and one
-transform each way serves all derivative orders and all products: dense real
-DFT matrices while they fit in 2**17 entries, the batched real FFT beyond.
+alias-free.  The state holds only the modes that rule keeps, and one real
+FFT each way serves all derivative orders and all products; while they fit in
+2**17 entries, those maps are applied as dense real matrices instead.
 
 Stability heuristic for choosing ``steps`` (see :func:`suggested_steps`):
 the surviving stiffness comes from variable-coefficient terms like
@@ -124,24 +124,24 @@ def _flow_operator(k: int, a: float, grid: int):
     Returns ``(lin, nonlinear)``: the Fourier symbol of the constant-
     coefficient part, and the dealiased pseudospectral evaluator for the
     rest.  Both act on the ``grid // 3 + 1`` rfft modes the 2/3 rule keeps
-    (``irfft(x, grid)`` zero-pads the others); interior letters of words of
-    length 3 or more take an extra dealiasing round trip.
+    (``irfft(x, grid)`` zero-pads the others).
 
-    Where they fit in ``_MATRIX_ENTRIES``, the evaluator applies dense real
-    DFT matrices (derivative symbols, irfft weights, truncation and ``gik``
-    folded in, plus the dealiasing projector for interior letters) and sums
-    the words in physical space, since the final truncation is linear.
-    Beyond that, and for flow 1 (no nonlinear words), it is the batched FFT.
+    The evaluator is written against three linear maps: ``to_phys`` samples
+    every derivative order the words read, ``dealias`` is the 2/3-rule round
+    trip that interior letters of words of length 3 or more take, and
+    ``to_spec`` truncates the summed flux to the kept modes and applies
+    ``gradient_rescale(k) D``.  The words are summed in physical space, so
+    ``to_spec`` runs once.  Where the maps fit in ``_MATRIX_ENTRIES`` they
+    are applied as the dense real matrices they are, read off the identity.
     """
     poly = diagonal_coefficient_recursive(k, scalar=True)
     kept = grid // 3 + 1
     ik = 1j * np.arange(kept, dtype=float) / a
     gik = float(gradient_rescale(k)) * ik
-    lin_word = (2 * k - 2,)
     lin_coeff = Fraction(0)
     words: list[tuple[tuple[int, ...], float]] = []
     for mono in poly.terms():
-        if mono.word == lin_word:
+        if mono.word == (2 * k - 2,):
             lin_coeff = mono.coeff
         else:
             words.append((mono.word, float(mono.coeff)))
@@ -152,47 +152,43 @@ def _flow_operator(k: int, a: float, grid: int):
     plan = [(orders.index(word[0]), [orders.index(d) for d in word[1:-1]],
              orders.index(word[-1]), coeff) for word, coeff in words]
 
-    def fft_rhs(u_hat: np.ndarray) -> np.ndarray:
-        phys = np.fft.irfft(u_hat * powers, grid)
-        prods = np.empty((len(plan), grid))
-        for prod, (first, inner, last, _) in zip(prods, plan):
-            cur = phys[first]
-            for r in inner:
-                cur = np.fft.irfft(np.fft.rfft(cur * phys[r])[:kept], grid)
-            np.multiply(cur, phys[last], out=prod)
-        acc = np.zeros(kept, dtype=complex)
-        for spec, (_, _, _, coeff) in zip(np.fft.rfft(prods)[:, :kept], plan):
-            acc += coeff * spec
-        return gik * acc
+    def to_phys(u_hat):
+        return np.fft.irfft(u_hat[..., None, :] * powers, grid)
+
+    def dealias(v):
+        return np.fft.irfft(np.fft.rfft(v)[..., :kept], grid)
+
+    def to_spec(v):
+        return gik * np.fft.rfft(v)[..., :kept]
 
     interior = any(inner for _, inner, _, _ in plan)
-    if not plan or ((len(orders) + 1) * grid * 2 * kept
-                    + interior * grid ** 2) > _MATRIX_ENTRIES:
-        return lin, fft_rhs
-    # twiddles from the reduced angle (m j mod grid) in [0, 2 pi): the raw
-    # m j angle loses digits as it grows (2.6e-13 relative at grid 256)
-    m = np.arange(kept)
-    twiddle = np.exp(2j * np.pi / grid * (np.outer(np.arange(grid), m) % grid))
-    back = twiddle * (np.where(m == 0, 1.0, 2.0) / grid)
-    # real forms act on u_hat.view(float64), i.e. (Re u_0, Im u_0, Re u_1, ...)
-    fold = (powers[:, None, :] * back).reshape(-1, kept)
-    to_phys = np.stack([fold.real, -fold.imag], axis=-1).reshape(-1, 2 * kept)
-    fold = gik[:, None] * twiddle.T.conj()
-    to_spec = np.stack([fold.real, fold.imag], axis=1).reshape(2 * kept, grid)
-    dealias = (back @ twiddle.T.conj()).real if interior else None
-    coeffs = np.array([coeff for _, _, _, coeff in plan])
+    if ((len(orders) + 1) * grid * 2 * kept + interior * grid ** 2) <= _MATRIX_ENTRIES:
+        # each map applied to the identity: row j is the image of input j, so
+        # x @ rows applies it; complex sides are read as interleaved (Re, Im)
+        phys_rows = to_phys(np.eye(2 * kept).view(np.complex128)).reshape(2 * kept, -1)
+        spec_rows = to_spec(np.eye(grid)).view(np.float64)
+        dealias_rows = dealias(np.eye(grid)) if interior else None
 
-    def matrix_rhs(u_hat: np.ndarray) -> np.ndarray:
-        phys = (to_phys @ u_hat.view(np.float64)).reshape(-1, grid)
-        prods = np.empty((len(plan), grid))
-        for prod, (first, inner, last, _) in zip(prods, plan):
+        def to_phys(u_hat):
+            return (u_hat.view(np.float64) @ phys_rows).reshape(-1, grid)
+
+        def dealias(v):
+            return v @ dealias_rows
+
+        def to_spec(v):
+            return (v @ spec_rows).view(np.complex128)
+
+    def rhs(u_hat: np.ndarray) -> np.ndarray:
+        phys = to_phys(u_hat)
+        acc = np.zeros(grid)
+        for first, inner, last, coeff in plan:
             cur = phys[first]
             for r in inner:
-                cur = dealias @ (cur * phys[r])
-            np.multiply(cur, phys[last], out=prod)
-        return (to_spec @ (coeffs @ prods)).view(np.complex128)
+                cur = dealias(cur * phys[r])
+            acc += coeff * (cur * phys[last])
+        return to_spec(acc)
 
-    return lin, matrix_rhs
+    return lin, rhs
 
 
 def _check_grid(Q0: PeriodicFunction, grid: int) -> None:
@@ -256,6 +252,9 @@ def integrate_flow(k: int, Q0: PeriodicFunction, s_end: float, steps: int, *,
         Q = PeriodicFunction.from_samples(np.fft.irfft(spec, grid), Q0.a)
         return FlowState(k=k, s=dt * i, Q=Q, grid=grid, dt=dt)
 
+    if not np.any(nonlinear(u)) and not np.any(u[lin != 0]):
+        # a fixed point: every RK4 stage returns u as it is, so skip the steps
+        return [snapshot(i, u) for i in sorted(record_at)]
     trajectory = [snapshot(0, u)]
     # blow-up is detected and reported as a typed error; silence the
     # overflow chatter numpy emits on the step that produces it

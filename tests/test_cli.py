@@ -466,6 +466,17 @@ def test_kdv_divergence_beyond_the_step_cap_suggests_nothing(tmp_path, capsys):
     assert "no step count under the 2**53 cap helps" in payload["reason"]
 
 
+def test_kdv_static_state_returns_without_stepping():
+    # the default problem is free: no step changes it, so none is taken
+    proc = subprocess.run(
+        [sys.executable, "-m", "heatkern.cli", "kdv", "--flow", "2", "--s-end", "1e30",
+         "--steps", str(2 ** 52), "--grid", "64"],
+        capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    drifts = [l for l in proc.stdout.splitlines() if l.startswith("# drift ")]
+    assert drifts and all(l.endswith(" = 0") for l in drifts)
+
+
 @pytest.mark.parametrize("args", [
     ["--s-end", "1e300"],
     ["--steps", "100000000000000000000"],

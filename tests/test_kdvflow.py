@@ -2,12 +2,14 @@
 conservation along trajectories."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from heatkern import diffpoly as dp
+from heatkern import kdvflow
 from heatkern.errors import FlowDivergenceError, ResolutionError
 from heatkern.heatcoeffs import (
     diagonal_coefficient_recursive,
@@ -289,22 +291,34 @@ def flow_s_end(k, grid):
     return {1: 0.3, 2: 1e-3, 3: 1e-5, 4: 1e-7}[k] * min(1.0, 96 / grid) ** (2 * k - 3)
 
 
-def evaluator(k, grid):
-    """Which transform ``_flow_operator`` chose for flow ``k`` on ``grid``."""
-    return _flow_operator(k, 1.0, grid)[1].__qualname__.rsplit(".", 1)[-1]
+def fft_calls(monkeypatch, k, grid):
+    """``np.fft`` calls inside one flow-``k`` right-hand side on ``grid``:
+    none on the dense-matrix side, at least two on the FFT side."""
+    rhs = _flow_operator(k, 1.0, grid)[1]
+    u = np.fft.rfft(COS.sample_scalar(grid))[:grid // 3 + 1]
+    calls = []
+    with monkeypatch.context() as patch:
+        for name in ("rfft", "irfft"):
+            def counted(*args, _fft=getattr(np.fft, name), **kwargs):
+                calls.append(1)
+                return _fft(*args, **kwargs)
+            patch.setattr(np.fft, name, counted)
+        rhs(u)
+    return len(calls)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 @pytest.mark.parametrize("grid", [48, 64, 96, 384, 512])
-def test_flow_matches_full_spectrum_bitwise(k, grid):
-    # The FFT evaluator matches the reference bit for bit: for every k above
-    # the dense-matrix bound (384, 512), and for k = 1, which has no
-    # nonlinear words.  The matrix evaluator (k >= 2 on 48..96) sums in
-    # another order and matches to round-off.  k >= 3 dealiases interior
-    # letters; k = 4 has word coefficients (2/5, 3/5, 4/5) that are not
-    # powers of two.
-    bitwise = evaluator(k, grid) == "fft_rhs"
-    assert bitwise == (k == 1 or grid > 96)
+def test_flow_matches_full_spectrum_bitwise(monkeypatch, k, grid):
+    # Flow 1 has no nonlinear words: its right-hand side is zero on both
+    # sides and its trajectory matches bit for bit.  On the FFT side (above
+    # the dense-matrix bound) flow 2 sums its one nonlinear word exactly as
+    # the reference does, and matches bit for bit.  Everywhere else the
+    # words are summed before one transform, so the match is to round-off.
+    # k >= 3 dealiases interior letters; k = 4 has word coefficients
+    # (2/5, 3/5, 4/5) that are not powers of two.
+    bitwise = k == 1 or (k == 2 and fft_calls(monkeypatch, k, grid) > 0)
+    assert bitwise == (k == 1 or (k == 2 and grid > 96))
     kept = grid // 3 + 1
     s_end = flow_s_end(k, grid)
     for a in (1.0, 2.5):
@@ -317,7 +331,9 @@ def test_flow_matches_full_spectrum_bitwise(k, grid):
         for samples in (Q0.sample_scalar(grid), noise):
             u = trunc(np.fft.rfft(samples))
             rhs, ref_rhs = nonlinear(u[:kept]), ref_nonlinear(u)[:kept]
-            if bitwise:
+            if k == 1:  # equal as values; the signs of the zeros may differ
+                assert not np.any(rhs) and not np.any(ref_rhs)
+            elif bitwise:
                 assert rhs.tobytes() == ref_rhs.tobytes()
             else:
                 assert np.max(np.abs(rhs - ref_rhs)) <= 2e-14 * np.max(np.abs(ref_rhs))
@@ -335,23 +351,43 @@ def test_flow_matches_full_spectrum_bitwise(k, grid):
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def test_evaluator_selection():
-    # verify's three flows, and flow 3 one grid up, fit the dense matrices
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("grid", [64, 96, 256, 384])
+def test_matrix_and_fft_sides_agree(monkeypatch, k, grid):
+    # each side forced on the same grid; the grids straddle the bound
+    kept = grid // 3 + 1
+    rng = np.random.default_rng(grid)
+    u = np.fft.rfft(rng.normal(size=grid))[:kept]
+    rhs = {}
+    for bound in (0, 2 ** 40):
+        monkeypatch.setattr(kdvflow, "_MATRIX_ENTRIES", bound)
+        rhs[bound] = _flow_operator(k, 2.5, grid)[1](u)
+        assert (fft_calls(monkeypatch, k, grid) == 0) == (bound > 0)
+    assert np.max(np.abs(rhs[0] - rhs[2 ** 40])) <= 2e-14 * np.max(np.abs(rhs[0]))
+
+
+def held_bytes(k, grid):
+    """Bytes that the flow-``k`` operator on ``grid`` keeps alive."""
+    _flow_operator(k, 1.0, grid)  # fill the symbolic caches first
+    tracemalloc.start()
+    try:
+        operator = _flow_operator(k, 1.0, grid)  # alive while measured
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return held
+
+
+def test_evaluator_selection(monkeypatch):
+    # verify's three flows, and flow 3 one grid up, run on the dense matrices
     for k, grid in ((2, 256), (3, 64), (2, 96), (3, 128)):
-        assert evaluator(k, grid) == "matrix_rhs", (k, grid)
+        assert fft_calls(monkeypatch, k, grid) == 0, (k, grid)
     for k, grid in ((3, 256), (2, 384)):
-        assert evaluator(k, grid) == "fft_rhs", (k, grid)
-    # flow 1 has no nonlinear words: the FFT path returns gik * zeros as is
-    u = np.fft.rfft(COS.sample_scalar(64))[:22]
-    gik = float(gradient_rescale(1)) * (1j * np.arange(22, dtype=float))
-    assert _flow_operator(1, 1.0, 64)[1](u).tobytes() == (gik * np.zeros(22, complex)).tobytes()
+        assert fft_calls(monkeypatch, k, grid) >= 2, (k, grid)
+    # neither side holds much more than _MATRIX_ENTRIES floats
     for k in (2, 3, 4):
         for grid in range(32, 400, 16):
-            rhs = _flow_operator(k, 1.0, grid)[1]
-            held = sum(cell.cell_contents.size for cell in rhs.__closure__
-                       if isinstance(cell.cell_contents, np.ndarray)
-                       and cell.cell_contents.ndim == 2)
-            assert rhs.__name__ == "fft_rhs" or held <= _MATRIX_ENTRIES, (k, grid)
+            assert held_bytes(k, grid) <= 8 * _MATRIX_ENTRIES + 2 ** 16, (k, grid)
 
 
 # ---------------------------------------------------------------- reports
