@@ -3,10 +3,12 @@
 A *word* ``(d1, ..., dm)`` stands for the noncommutative product
 ``Q^(d1) Q^(d2) ... Q^(dm)`` of derivatives of a single matrix-valued
 potential ``Q``; the empty word is the identity.  A :class:`DiffPoly` is a
-finite rational linear combination of words, kept in a canonical form
-(zero coefficients dropped, terms ordered by word length then by the
-derivative-order sequence).  All coefficient arithmetic is exact
-(`fractions.Fraction`), so equality of polynomials is decidable.
+finite rational linear combination of words, stored as integer numerators
+over one positive common denominator in lowest terms (zero coefficients
+dropped; :meth:`DiffPoly.terms` lists terms by word length then by the
+derivative-order sequence).  All coefficient arithmetic is exact integer
+arithmetic, so equality of polynomials is decidable; ``Fraction`` appears
+only where coefficients enter or leave the algebra.
 
 The grading used throughout: letter ``d`` has weight ``d + 2``, the weight
 of a word is the sum over its letters and the empty word has weight 0.
@@ -16,6 +18,8 @@ word length.
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -49,26 +53,35 @@ class DiffMonomial:
     word: Word
 
 
-def _as_fraction(c) -> Fraction:
+def _exact(c):
     if isinstance(c, (int, Fraction)):
-        return Fraction(c)
+        return c
     raise ValueError(f"coefficient must be exact (int/Fraction), got {type(c).__name__}")
 
 
-def _add_term(terms: dict[Word, Fraction], w: Word, c: Fraction) -> None:
-    """``terms[w] += c``, dropping ``w`` when it cancels; a word that
+def _add_term(num: dict[Word, int], w: Word, c: int) -> None:
+    """``num[w] += c``, dropping ``w`` when it cancels; a word that
     survives keeps its place in the dict."""
-    acc = terms.get(w, 0) + c
+    acc = num.get(w, 0) + c
     if acc:
-        terms[w] = acc
+        num[w] = acc
     else:
-        terms.pop(w, None)
+        num.pop(w, None)
 
 
-def _poly(terms: dict[Word, Fraction]) -> "DiffPoly":
-    """Wrap an already canonical term dict without copying it."""
+def _lowest(num: dict[Word, int], den: int) -> tuple[dict[Word, int], int]:
+    """``num / den`` (``den > 0``, no zero numerators) in lowest terms."""
+    g = math.gcd(den, *num.values())
+    if g == 1:
+        return num, den
+    return {w: c // g for w, c in num.items()}, den // g
+
+
+def _poly(num: dict[Word, int], den: int) -> "DiffPoly":
+    """Wrap numerators over ``den > 0`` with no zero entry, reducing them
+    to lowest terms; the dict is kept (not copied) when already reduced."""
     p = DiffPoly.__new__(DiffPoly)
-    p._terms = terms
+    p._num, p._den = _lowest(num, den)
     return p
 
 
@@ -79,43 +92,53 @@ def _raised(w: Word):
 
 
 class DiffPoly:
-    """Canonical rational linear combination of derivative words."""
+    """Canonical rational linear combination of derivative words.
 
-    __slots__ = ("_terms",)
+    The coefficient of word ``w`` is ``_num[w] / _den``: ``_den > 0``, the
+    gcd of ``_den`` and every numerator is 1, and zero is ``({}, 1)``, so
+    equal polynomials have equal storage whatever route built them.
+    """
+
+    __slots__ = ("_num", "_den")
 
     def __init__(self, terms: Mapping[Word, Fraction] | None = None):
-        self._terms: dict[Word, Fraction] = {}
+        items = []
         for word, coeff in (terms or {}).items():
             word = tuple(int(d) for d in word)
             if any(d < 0 for d in word):
                 raise ValueError(f"negative derivative order in word {word}")
-            _add_term(self._terms, word, _as_fraction(coeff))
+            items.append((word, _exact(coeff)))
+        den = math.lcm(*(c.denominator for _, c in items))
+        num: dict[Word, int] = {}
+        for word, c in items:
+            _add_term(num, word, c.numerator * (den // c.denominator))
+        self._num, self._den = _lowest(num, den)
 
     # -- canonical views ------------------------------------------------
 
     def terms(self) -> tuple[DiffMonomial, ...]:
         """Terms in canonical order (length, then sequence)."""
         return tuple(
-            DiffMonomial(self._terms[w], w)
-            for w in sorted(self._terms, key=lambda w: (len(w), w))
+            DiffMonomial(Fraction(self._num[w], self._den), w)
+            for w in sorted(self._num, key=lambda w: (len(w), w))
         )
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._num)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiffPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash((self._den, frozenset(self._num.items())))
 
     def __repr__(self) -> str:
-        if not self._terms:
+        if not self._num:
             return "DiffPoly(0)"
         bits = []
         for mono in self.terms():
@@ -128,13 +151,15 @@ class DiffPoly:
     def __add__(self, other: "DiffPoly") -> "DiffPoly":
         if not isinstance(other, DiffPoly):
             return NotImplemented
-        out = dict(self._terms)
-        for w, c in other._terms.items():
-            _add_term(out, w, c)
-        return _poly(out)
+        den = math.lcm(self._den, other._den)
+        f1, f2 = den // self._den, den // other._den
+        out = {w: c * f1 for w, c in self._num.items()}
+        for w, c in other._num.items():
+            _add_term(out, w, c * f2)
+        return _poly(out, den)
 
     def __neg__(self) -> "DiffPoly":
-        return _poly({w: -c for w, c in self._terms.items()})
+        return _poly({w: -c for w, c in self._num.items()}, self._den)
 
     def __sub__(self, other: "DiffPoly") -> "DiffPoly":
         if not isinstance(other, DiffPoly):
@@ -143,13 +168,16 @@ class DiffPoly:
 
     def __mul__(self, other):
         if isinstance(other, DiffPoly):
-            out: dict[Word, Fraction] = {}
-            for w1, c1 in self._terms.items():
-                for w2, c2 in other._terms.items():
+            out: dict[Word, int] = {}
+            for w1, c1 in self._num.items():
+                for w2, c2 in other._num.items():
                     _add_term(out, w1 + w2, c1 * c2)
-            return _poly(out)
-        c = _as_fraction(other)
-        return _poly({w: c0 * c for w, c0 in self._terms.items()} if c else {})
+            return _poly(out, self._den * other._den)
+        c = _exact(other)
+        if not c:
+            return ZERO
+        return _poly({w: c0 * c.numerator for w, c0 in self._num.items()},
+                     self._den * c.denominator)
 
     def __rmul__(self, other):
         # scalars commute with everything; word concatenation is handled in __mul__
@@ -169,11 +197,11 @@ def make(coeff, word: Iterable[int]) -> DiffPoly:
 
 def differentiate(p: DiffPoly) -> DiffPoly:
     """Total space derivative (Leibniz over each word position)."""
-    out: dict[Word, Fraction] = {}
-    for w, c in p._terms.items():
+    out: dict[Word, int] = {}
+    for w, c in p._num.items():
         for dw in _raised(w):
             _add_term(out, dw, c)
-    return _poly(out)
+    return _poly(out, p._den)
 
 
 def commutative_image(p: DiffPoly) -> DiffPoly:
@@ -183,15 +211,22 @@ def commutative_image(p: DiffPoly) -> DiffPoly:
     irrelevant; the image of a Hermitian-symmetric polynomial keeps the same
     scalar values.
     """
-    out: dict[Word, Fraction] = {}
-    for w, c in p._terms.items():
+    out: dict[Word, int] = {}
+    for w, c in p._num.items():
         _add_term(out, tuple(sorted(w)), c)
-    return _poly(out)
+    return _poly(out, p._den)
 
 
 # ---------------------------------------------------------------------------
 # antiderivative
 # ---------------------------------------------------------------------------
+
+
+def _peel_key(w: Word, commutative: bool) -> tuple[int, ...]:
+    """Min-heap key that pops the leading word first: the letters (largest
+    first in the commutative quotient) negated, and closed by a 1 above
+    every negated letter, so a word pops before its prefixes."""
+    return tuple(-d for d in (w[::-1] if commutative else w)) + (1,)
 
 
 def antiderivative(p: DiffPoly, *, commutative: bool = False) -> DiffPoly:
@@ -208,29 +243,49 @@ def antiderivative(p: DiffPoly, *, commutative: bool = False) -> DiffPoly:
     the next word of ``q``.  Raises :class:`NotExactDerivativeError` when
     that leading word is no such image, for example for ``p = Q``, any pure
     power of ``Q`` or a constant.
+
+    The leading words come off a lazy max-heap: every word that enters or
+    stays in the remainder is pushed, and a popped word that has since
+    cancelled is skipped.  The division by a multiplicity stays exact on
+    the integer numerators: when it does not divide, the remainder, the
+    result and their common denominator are scaled by the missing factor.
     """
     if commutative:
         p = commutative_image(p)
-    rest = dict(p._terms)
-    result: dict[Word, Fraction] = {}
+    rest = dict(p._num)
+    den = p._den
+    result: dict[Word, int] = {}
+    heap = [(_peel_key(u, commutative), u) for u in rest]
+    heapq.heapify(heap)
     while rest:
+        u = heapq.heappop(heap)[1]
+        if u not in rest:
+            continue
         if commutative:
-            u = max(rest, key=lambda w: w[::-1])
             top = u[-1] if u else 0
             if top == 0 or u[-2:-1] == (top,):
                 raise NotExactDerivativeError(f"{u} is not the leading word of a derivative")
             w = u[:-1] + (top - 1,)
-            c = rest[u] / w.count(top - 1)
+            mult = w.count(top - 1)
+            if rest[u] % mult:
+                scale = mult // math.gcd(rest[u], mult)
+                rest = {v: c * scale for v, c in rest.items()}
+                result = {v: c * scale for v, c in result.items()}
+                den *= scale
+            c = rest[u] // mult
         else:
-            u = max(rest)
             if not u or u[0] == 0:
                 raise NotExactDerivativeError(f"{u} is not the leading word of a derivative")
             w = (u[0] - 1,) + u[1:]
             c = rest[u]
         result[w] = c
         for dw in _raised(w):
-            _add_term(rest, tuple(sorted(dw)) if commutative else dw, -c)
-    return _poly(result)
+            if commutative:
+                dw = tuple(sorted(dw))
+            _add_term(rest, dw, -c)
+            if dw in rest:
+                heapq.heappush(heap, (_peel_key(dw, commutative), dw))
+    return _poly(result, den)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +303,7 @@ def min_grid(p: DiffPoly, bandwidth: int) -> int:
     ``2 * that + 1`` samples.
     """
     need = 4
-    for w in p._terms:
+    for w in p._num:
         if not w:
             continue
         need = max(need, 4 * bandwidth * (max(w) + 1))
@@ -292,11 +347,11 @@ def evaluate(p: DiffPoly, Q: PeriodicFunction, grid: int) -> PeriodicFunction:
             f"{Q.bandwidth}; need at least {need}", suggestion={"grid": need})
     n = Q.matrix_dim
     trie: dict = {}
-    for word, coeff in p._terms.items():
+    for word, coeff in p._num.items():
         node = trie
         for d in word:
             node = node.setdefault(d, {})
-        node[None] = float(coeff)
-    samples = {d: Q.derivative(d).sample(grid) for d in set().union(*p._terms)}
+        node[None] = coeff / p._den  # int true division rounds correctly
+    samples = {d: Q.derivative(d).sample(grid) for d in set().union(*p._num)}
     eye = np.broadcast_to(np.eye(n, dtype=complex), (grid, n, n))
     return PeriodicFunction.from_samples(_horner(trie, samples, eye), Q.a)

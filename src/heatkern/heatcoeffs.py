@@ -21,6 +21,7 @@ agreement check is exact, not numeric.  Normalisation: ``[a_0] = 1``,
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -60,7 +61,66 @@ def matrix_element(m: int, n: int) -> DiffPoly:
     return dp.ZERO
 
 
+def _word_counts(scalar: bool):
+    """``len([a_k])`` for k = 0, 1, ...: the Fibonacci number F(2k-1), or
+    in the commutative quotient the number of partitions of 2k into parts
+    >= 2, which is p(2k) - p(2k-1) (p by Euler's pentagonal recurrence)."""
+    if not scalar:
+        a, b = 1, 1
+        while True:
+            yield a
+            a, b = b, 3 * b - a
+    p = [1]
+    yield 1
+    while True:
+        for n in (len(p), len(p) + 1):
+            total, j = 0, 1
+            while (g := j * (3 * j - 1) // 2) <= n:
+                term = p[n - g] + (p[n - g - j] if g + j <= n else 0)
+                total += term if j % 2 else -term
+                j += 1
+            p.append(total)
+        yield p[-1] - p[-2]
+
+
+def _refuse_beyond_memory(k: int, scalar: bool) -> None:
+    """Refuse with ``ValueError``, before building anything, an order whose
+    exact ``[a_k]`` is predicted to outgrow physical memory.
+
+    The prediction is the word count times a peak cost per word above the
+    measured one: 3 KiB for the Taylor table (1.8, 2.0 and 2.3 KiB at
+    k = 12, 13, 14) and k KiB for the scalar recursion (9.4, 13.7 and
+    15.6 KiB at k = 16, 18, 20).  Both grow with k, so the walk stops at
+    the first order beyond memory, however large k is.
+    """
+    budget = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    for j, words in zip(range(k + 1), _word_counts(scalar)):
+        need = words * (j if scalar else 3) * 1024
+        if need > budget:
+            raise ValueError(
+                f"[a_{k}] cannot be built in memory: order {j} alone would need "
+                f"about {need / 2**30:.1f} GiB of the {budget / 2**30:.1f} GiB present")
+
+
 _TAYLOR_CACHE: dict[tuple[int, int], DiffPoly] = {}
+
+
+def _ladder_step(k: int, n: int) -> DiffPoly:
+    """``<n|a_k>`` from the cached ``<m|a_{k-1}>``, ``m <= n + 2``: the
+    numerators are brought over the lcm of their denominators and summed
+    as integers, with ``k/(k+n)`` folded into each row's factor."""
+    if k == 0:
+        return _IDENT if n == 0 else dp.ZERO
+    # <n|L|m> vanishes unless m <= n or m == n + 2, and is one integer term
+    rows = [(m, _TAYLOR_CACHE[k - 1, m]) for m in list(range(n + 1)) + [n + 2]]
+    den = math.lcm(*(prev._den for _, prev in rows))
+    num: dict[dp.Word, int] = {}
+    for m, prev in rows:
+        (head, c), = matrix_element(n, m)._num.items()
+        c *= k * (den // prev._den)
+        for w, cw in prev._num.items():
+            dp._add_term(num, head + w, c * cw)
+    return dp._poly(num, den * (k + n))
 
 
 def _taylor_entry(k: int, n: int) -> DiffPoly:
@@ -69,24 +129,22 @@ def _taylor_entry(k: int, n: int) -> DiffPoly:
         return got
     if k < 0 or n < 0:
         raise ValueError("Taylor indices must be nonnegative")
-    if k == 0:
-        val = _IDENT if n == 0 else dp.ZERO
-    else:
-        terms: dict[dp.Word, Fraction] = {}
-        # <n|L|m> vanishes unless m <= n or m == n + 2, and is one term
-        for m in list(range(n + 1)) + [n + 2]:
-            (head, c), = matrix_element(n, m)._terms.items()
-            c *= Fraction(k, k + n)
-            for w, cw in _taylor_entry(k - 1, m)._terms.items():
-                dp._add_term(terms, head + w, c * cw)
-        val = dp._poly(terms)
-    _TAYLOR_CACHE[(k, n)] = val
-    return val
+    _refuse_beyond_memory(k, scalar=False)
+    # bottom-up, so that no order recurses: <n|a_k> reads <m|a_{k-1}> for
+    # m <= n and m = n + 2, hence <m|a_j> for m <= top = n + 2 (k - j)
+    # other than m = top - 1
+    for j in range(k + 1):
+        top = n + 2 * (k - j)
+        for m in range(top + 1):
+            if m != top - 1 and (j, m) not in _TAYLOR_CACHE:
+                _TAYLOR_CACHE[j, m] = _ladder_step(j, m)
+    return _TAYLOR_CACHE[k, n]
 
 
 def taylor_coefficient(k: int, n: int) -> DiffPoly:
     """``<n|a_k>``, homogeneous of weight ``2k + n`` and memoised;
-    ``taylor_coefficient(k, 0)`` is the diagonal ``[a_k]``."""
+    ``taylor_coefficient(k, 0)`` is the diagonal ``[a_k]``.  An order
+    predicted not to fit in physical memory raises ``ValueError``."""
     return _taylor_entry(k, n)
 
 
@@ -136,20 +194,21 @@ def diagonal_coefficient_recursive(k: int, *, scalar: bool = False) -> DiffPoly:
     Each step integrates ``-(k / (2(2k-1))) E [a_{k-1}]`` exactly.  With
     ``scalar=True`` the whole chain runs in the commutative quotient; the
     result then matches ``commutative_image(taylor_coefficient(k, 0))``.
+    An order predicted not to fit in physical memory raises ``ValueError``.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if k == 0:
-        return _IDENT
-    key = (k, scalar)
-    got = _RECURSIVE_CACHE.get(key)
-    if got is not None:
-        return got
-    prev = diagonal_coefficient_recursive(k - 1, scalar=scalar)
-    rhs = Fraction(-k, 2 * (2 * k - 1)) * apply_E(prev, scalar=scalar)
-    val = dp.antiderivative(rhs, commutative=scalar)
-    _RECURSIVE_CACHE[key] = val
-    return val
+    if (k, scalar) not in _RECURSIVE_CACHE:
+        _refuse_beyond_memory(k, scalar)
+    # bottom-up, so that no order recurses
+    prev = _IDENT
+    for j in range(1, k + 1):
+        got = _RECURSIVE_CACHE.get((j, scalar))
+        if got is None:
+            rhs = Fraction(-j, 2 * (2 * j - 1)) * apply_E(prev, scalar=scalar)
+            got = _RECURSIVE_CACHE[j, scalar] = dp.antiderivative(rhs, commutative=scalar)
+        prev = got
+    return prev
 
 
 def w_coefficient(k: int) -> DiffPoly:

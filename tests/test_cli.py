@@ -57,6 +57,31 @@ def test_coeffs_table_and_json(capsys):
     ]
 
 
+@pytest.mark.parametrize("args", [
+    ["coeffs", "--k", "1200"],
+    ["invariants", "--k", "1200"],
+    ["kdv", "--flow", "1200", "--steps", "10", "--grid", "64"],
+], ids=["coeffs", "invariants", "kdv"])
+def test_order_beyond_memory_is_refused(args):
+    # in a fresh interpreter: a depth-first recursion to such an order ended
+    # in a RecursionError traceback, and building it would exhaust memory
+    proc = subprocess.run([sys.executable, "-m", "heatkern.cli"] + args,
+                          capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert len(proc.stderr.splitlines()) == 1
+    payload = json.loads(proc.stderr)
+    assert payload["error"] == "config"
+    assert payload["reason"].startswith("[a_1200] cannot be built in memory")
+
+
+def test_coeffs_order_12_still_runs():
+    proc = subprocess.run([sys.executable, "-m", "heatkern.cli", "coeffs", "--k", "12"],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    # [a_12] has F(23) = 28657 words
+    assert len(proc.stdout.replace(" - ", " + ").split(" + ")) == 28657
+
+
 # ------------------------------------------------------------- invariants
 
 

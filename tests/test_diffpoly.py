@@ -1,6 +1,7 @@
 """Exact-arithmetic checks for the noncommutative differential-polynomial layer."""
 
 import gc
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heatkern import heatcoeffs
 from heatkern.diffpoly import (
     DiffPoly,
     IDENTITY,
@@ -158,6 +160,136 @@ def test_antiderivative_known_case():
     assert antiderivative(p) == make(1, (0, 0))
     # commutative quotient: 2 Q Q' integrates to Q^2
     assert antiderivative(make(2, (0, 1)), commutative=True) == make(1, (0, 0))
+
+
+# -- integer storage against a Fraction reference ------------------------------
+# Dict-of-Fraction copies of the operations, kept as the reference for the
+# integer numerators: the same loops, so values and insertion order must match.
+
+
+def _ref(p):
+    return {w: Fraction(c, p._den) for w, c in p._num.items()}
+
+
+def _ref_add_term(terms, w, c):
+    acc = terms.get(w, 0) + c
+    if acc:
+        terms[w] = acc
+    else:
+        terms.pop(w, None)
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for w, c in b.items():
+        _ref_add_term(out, w, c)
+    return out
+
+
+def _ref_mul(a, b):
+    out = {}
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
+            _ref_add_term(out, w1 + w2, c1 * c2)
+    return out
+
+
+def _ref_differentiate(a):
+    out = {}
+    for w, c in a.items():
+        for i in range(len(w)):
+            _ref_add_term(out, w[:i] + (w[i] + 1,) + w[i + 1:], c)
+    return out
+
+
+def _ref_commutative_image(a):
+    out = {}
+    for w, c in a.items():
+        _ref_add_term(out, tuple(sorted(w)), c)
+    return out
+
+
+def _ref_antiderivative(a, commutative):
+    """The leading-term peel with a full scan for the leading word."""
+    rest = _ref_commutative_image(a) if commutative else dict(a)
+    result = {}
+    while rest:
+        if commutative:
+            u = max(rest, key=lambda w: w[::-1])
+            top = u[-1] if u else 0
+            if top == 0 or u[-2:-1] == (top,):
+                raise NotExactDerivativeError(u)
+            w = u[:-1] + (top - 1,)
+            c = rest[u] / w.count(top - 1)
+        else:
+            u = max(rest)
+            if not u or u[0] == 0:
+                raise NotExactDerivativeError(u)
+            w = (u[0] - 1,) + u[1:]
+            c = rest[u]
+        result[w] = c
+        for i in range(len(w)):
+            dw = w[:i] + (w[i] + 1,) + w[i + 1:]
+            _ref_add_term(rest, tuple(sorted(dw)) if commutative else dw, -c)
+    return result
+
+
+def assert_canonical(p):
+    assert p._den > 0
+    assert math.gcd(p._den, *p._num.values()) == 1
+    assert all(p._num.values())
+
+
+def assert_matches(p, want):
+    assert list(_ref(p).items()) == list(want.items())  # values and order
+    assert [(m.word, m.coeff) for m in p.terms()] == sorted(
+        want.items(), key=lambda t: (len(t[0]), t[0]))
+    assert_canonical(p)
+
+
+@given(polys, polys, st.one_of(coeffs, st.integers(-3, 3)), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_integer_storage_matches_fraction_reference(p, q, c, commutative):
+    assert_canonical(p)
+    a, b = _ref(p), _ref(q)
+    assert_matches(p + q, _ref_add(a, b))
+    assert_matches(p - q, _ref_add(a, {w: -v for w, v in b.items()}))
+    assert_matches(p * q, _ref_mul(a, b))
+    assert_matches(p * c, {w: v * c for w, v in a.items()} if c else {})
+    assert_matches(differentiate(p), _ref_differentiate(a))
+    assert_matches(commutative_image(p), _ref_commutative_image(a))
+    # an exact derivative, and arbitrary input that is mostly refused
+    for src in (differentiate(p * q), p):
+        try:
+            want = _ref_antiderivative(_ref(src), commutative)
+        except NotExactDerivativeError:
+            with pytest.raises(NotExactDerivativeError):
+                antiderivative(src, commutative=commutative)
+            continue
+        assert_matches(antiderivative(src, commutative=commutative), want)
+
+
+def test_equal_polynomials_have_equal_storage_and_hash():
+    assert (ZERO._num, ZERO._den) == ({}, 1)
+    assert (make(1, (0,)) - make(1, (0,)))._den == 1
+    half = make(Fraction(1, 2), (1, 0))
+    routes = [make(Fraction(2, 4), (1, 0)), (half + half) * Fraction(1, 2),
+              DiffPoly({(1, 0): Fraction(3, 4), (2,): 1}) - make(Fraction(1, 4), (1, 0))
+              - make(1, (2,)), antiderivative(differentiate(half))]
+    for p in routes:
+        assert p == half and hash(p) == hash(half)
+        assert (p._num, p._den) == ({(1, 0): 1}, 2)
+    assert make(4, (0,)) * Fraction(3, 2) == make(6, (0,))
+    assert half != make(1, (1, 0)) and half != make(Fraction(1, 3), (1, 0))
+
+
+def test_evaluation_floats_match_fraction_floats():
+    # the trie takes num / den; int true division rounds like float(Fraction)
+    heatcoeffs.taylor_coefficient(10, 0)
+    for (k, n), p in heatcoeffs._TAYLOR_CACHE.items():
+        if k <= 10:
+            for c in p._num.values():
+                assert c / p._den == float(Fraction(c, p._den)), (k, n)
 
 
 # -- evaluation ----------------------------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from heatkern import heatcoeffs
 from heatkern.acceptance import exact_cosine_invariant
 from heatkern.diffpoly import (
     DiffPoly,
@@ -94,8 +95,33 @@ def test_ladder_matches_polynomial_arithmetic_in_value_and_order():
     memo = {}
     _ladder(8, 0, memo)
     for (k, n), want in memo.items():
-        got = list(taylor_coefficient(k, n)._terms.items())
-        assert got == list(want._terms.items()), (k, n)
+        got = taylor_coefficient(k, n)
+        assert got._den == want._den, (k, n)
+        assert list(got._num.items()) == list(want._num.items()), (k, n)
+
+
+def test_word_counts_match_each_order():
+    # the refusal below predicts memory from these counts
+    for k, words, scalar_words in zip(range(11), heatcoeffs._word_counts(False),
+                                      heatcoeffs._word_counts(True)):
+        assert len(taylor_coefficient(k, 0)) == words
+        assert len(diagonal_coefficient_recursive(k, scalar=True)) == scalar_words
+
+
+def test_orders_beyond_memory_are_refused_before_building(monkeypatch):
+    # 1 MiB of "physical memory": the table fits to order 7 (233 words at
+    # 3 KiB), the scalar recursion to order 9 (88 words at 9 KiB)
+    sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}
+    monkeypatch.setattr(heatcoeffs.os, "sysconf", sizes.__getitem__)
+    monkeypatch.setattr(heatcoeffs, "_TAYLOR_CACHE", {})
+    monkeypatch.setattr(heatcoeffs, "_RECURSIVE_CACHE", {})
+    with pytest.raises(ValueError, match=r"^\[a_8\] cannot be built in memory: order 8 "):
+        taylor_coefficient(8, 0)
+    with pytest.raises(ValueError, match=r"^\[a_10\] cannot be built"):
+        diagonal_coefficient_recursive(10, scalar=True)
+    assert heatcoeffs._TAYLOR_CACHE == heatcoeffs._RECURSIVE_CACHE == {}
+    assert len(taylor_coefficient(7, 0)) == 233
+    assert len(diagonal_coefficient_recursive(9, scalar=True)) == 88
 
 
 def test_homogeneous_weights():
@@ -240,13 +266,13 @@ def _word_by_word(p: DiffPoly, Qf: PeriodicFunction, grid: int) -> PeriodicFunct
     n = Qf.matrix_dim
     samples = {}
     acc = np.zeros((grid, n, n), dtype=complex)
-    for word, coeff in p._terms.items():
+    for mono in p.terms():
         prod = np.broadcast_to(np.eye(n, dtype=complex), (grid, n, n))
-        for d in word:
+        for d in mono.word:
             if d not in samples:
                 samples[d] = Qf.derivative(d).sample(grid)
             prod = prod @ samples[d]
-        acc = acc + float(coeff) * prod
+        acc = acc + float(mono.coeff) * prod
     return PeriodicFunction.from_samples(acc, Qf.a)
 
 
