@@ -123,7 +123,10 @@ def _ladder_step(k: int, n: int) -> DiffPoly:
     return dp._poly(num, den * (k + n))
 
 
-def _taylor_entry(k: int, n: int) -> DiffPoly:
+def taylor_coefficient(k: int, n: int) -> DiffPoly:
+    """``<n|a_k>``, homogeneous of weight ``2k + n`` and memoised;
+    ``taylor_coefficient(k, 0)`` is the diagonal ``[a_k]``.  An order
+    predicted not to fit in physical memory raises ``ValueError``."""
     got = _TAYLOR_CACHE.get((k, n))
     if got is not None:
         return got
@@ -141,13 +144,6 @@ def _taylor_entry(k: int, n: int) -> DiffPoly:
     return _TAYLOR_CACHE[k, n]
 
 
-def taylor_coefficient(k: int, n: int) -> DiffPoly:
-    """``<n|a_k>``, homogeneous of weight ``2k + n`` and memoised;
-    ``taylor_coefficient(k, 0)`` is the diagonal ``[a_k]``.  An order
-    predicted not to fit in physical memory raises ``ValueError``."""
-    return _taylor_entry(k, n)
-
-
 # ---------------------------------------------------------------------------
 # diagonal recursion
 # ---------------------------------------------------------------------------
@@ -157,6 +153,10 @@ def _ad_q(p: DiffPoly) -> DiffPoly:
     return _Q * p - p * _Q
 
 
+def _commutative_derivative(p: DiffPoly) -> DiffPoly:
+    return dp.commutative_image(dp.differentiate(p))
+
+
 def apply_E(p: DiffPoly, *, scalar: bool = False) -> DiffPoly:
     """Third-order recursion operator driving the diagonal coefficients.
 
@@ -164,19 +164,21 @@ def apply_E(p: DiffPoly, *, scalar: bool = False) -> DiffPoly:
     ``V`` is the exact antiderivative of ``[Q, p]``.  With ``scalar=True`` the
     commutator terms vanish and the result is the commutative image (words
     sorted) of the rest, which is the appropriate form for scalar
-    potentials.
+    potentials; each derivative is then projected as it is taken, so the
+    words of ``p'''`` never multiply out in noncommutative order.
 
     The last term needs ``[Q, p]`` to be a total derivative; that holds for
     every diagonal coefficient (the interface identity gives the primitive
     explicitly) and :class:`~heatkern.errors.NotExactDerivativeError`
     propagates when called outside that family.
     """
-    d1 = dp.differentiate(p)
-    out = dp.differentiate(dp.differentiate(d1))
-    out = out + (-2) * (_Q * d1)
-    out = out + (-2) * dp.differentiate(_Q * p)
+    d = _commutative_derivative if scalar else dp.differentiate
+    d1 = d(p)
+    out = d(d(d1))
+    out = out + (-2) * (_Q * d1)  # Q = Q^(0) leads every sorted word
+    out = out + (-2) * d(_Q * p)
     if scalar:
-        return dp.commutative_image(out)
+        return out
     bracket = _ad_q(p)
     out = out + _ad_q(d1)
     out = out + dp.differentiate(bracket)
@@ -217,7 +219,7 @@ def w_coefficient(k: int) -> DiffPoly:
     Satisfies ``d/dx W_k = [Q, [a_k]]`` exactly, and its commutative image is
     zero (a scalar potential has no interface term).
     """
-    return 2 * _taylor_entry(k, 1) - dp.differentiate(_taylor_entry(k, 0))
+    return 2 * taylor_coefficient(k, 1) - dp.differentiate(taylor_coefficient(k, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -234,28 +236,17 @@ class GlobalInvariant:
     grid: int
 
 
-_INVARIANT_CACHE: dict[tuple, GlobalInvariant] = {}
-_INVARIANT_CACHE_SIZE = 256
-
-
 def global_invariant(k: int, Q: PeriodicFunction, grid: int | None = None) -> GlobalInvariant:
     """Evaluate ``A_k`` for a band-limited potential.
 
     The evaluation grid defaults to the smallest anti-aliased size for
     ``[a_k]`` at the potential's bandwidth (rounded up to an FFT-friendly
     even size), so the circle integral -- the zero Fourier mode times
-    ``2*pi*a`` -- is exact up to round-off.
-
-    Results are memoised on ``(k, grid)`` and the potential's exact content
-    (radius and mode bytes, never its ``id``), so sweeps over lambda or t
-    evaluate each ``A_k`` once; it holds the 256 newest values.  A value
-    beyond the float64 range (a tiny radius or huge modes) raises
+    ``2*pi*a`` -- is exact up to round-off.  Nothing is memoised here: a
+    sweep over lambda, s or t evaluates its invariants once, where it runs.
+    A value beyond the float64 range (a tiny radius or huge modes) raises
     ``FloatingPointError``.
     """
-    key = (k, grid) + Q.content_key()
-    got = _INVARIANT_CACHE.get(key)
-    if got is not None:
-        return got
     poly = taylor_coefficient(k, 0)
     if grid is None:
         grid = dp.fft_grid(dp.min_grid(poly, Q.bandwidth))
@@ -263,8 +254,4 @@ def global_invariant(k: int, Q: PeriodicFunction, grid: int | None = None) -> Gl
         value = dp.evaluate(poly, Q, grid).trace_integral()
     if not math.isfinite(value):
         raise FloatingPointError(f"A_{k} of this potential is beyond the float64 range")
-    got = GlobalInvariant(k=k, value=value, grid=grid)
-    if len(_INVARIANT_CACHE) >= _INVARIANT_CACHE_SIZE:
-        del _INVARIANT_CACHE[next(iter(_INVARIANT_CACHE))]
-    _INVARIANT_CACHE[key] = got
-    return got
+    return GlobalInvariant(k=k, value=value, grid=grid)

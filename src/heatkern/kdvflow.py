@@ -38,7 +38,12 @@ import numpy as np
 
 from . import diffpoly as dp
 from .errors import FlowDivergenceError, ResolutionError
-from .heatcoeffs import diagonal_coefficient_recursive, global_invariant, taylor_coefficient
+from .heatcoeffs import (
+    _refuse_beyond_memory,
+    diagonal_coefficient_recursive,
+    global_invariant,
+    taylor_coefficient,
+)
 from .periodic import PeriodicFunction
 
 __all__ = [
@@ -211,9 +216,12 @@ def suggested_steps(k: int, Q0: PeriodicFunction, s_end: float, grid: int = 256)
     the step is held below a 0.15 phase-per-step envelope -- measured, not
     the textbook RK4 bound: with the integrating factor the remainder term
     turns weakly unstable near the dealiasing cutoff well before the plain
-    CFL limit would bite.
+    CFL limit would bite.  A flow whose ``[a_k]`` cannot fit in physical
+    memory is refused with ``ValueError`` first, before the estimate grows
+    beyond any workable step count.
     """
     _check_grid(Q0, grid)
+    _refuse_beyond_memory(k, scalar=True)
     if k == 1:
         return 64  # the transport flow is handled exactly by the phase factors
     amp = 2.0 * max(1.0, float(np.max(np.abs(Q0.sample_scalar(max(64, grid))))))

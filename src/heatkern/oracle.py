@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import linalg, special
@@ -83,6 +84,12 @@ class SpectralProblem:
     @property
     def bandwidth(self) -> int:
         return self.Q.bandwidth
+
+    @cached_property
+    def invariants(self) -> tuple[float, ...]:
+        """``A_0..A_K`` (K = SERIES_ORDER), evaluated once per problem: every
+        Mellin value of a sweep over lambda or s reads the same ones."""
+        return tuple(global_invariant(k, self.Q).value for k in range(SERIES_ORDER + 1))
 
     @classmethod
     def free(cls, a: float = 1.0, dim: int = 1) -> "SpectralProblem":
@@ -244,10 +251,10 @@ def _upper_gamma(beta: float, x: np.ndarray) -> np.ndarray:
     return (_upper_gamma(beta + 1.0, x) - x ** beta * np.exp(-x)) / beta
 
 
-def _dressed_series(Q: PeriodicFunction, lam: float) -> list[float]:
+def _dressed_series(problem: SpectralProblem, lam: float) -> list[float]:
     """Taylor coefficients g_0..g_K of e^{t lam} Omega(t) at t = 0, from the
     invariants A_0..A_K (K = SERIES_ORDER)."""
-    inv_list = [global_invariant(k, Q).value for k in range(SERIES_ORDER + 1)]
+    inv_list = problem.invariants
     return [math.fsum(lam ** (m - k) / math.factorial(m - k)
                       * (-1.0) ** k * inv_list[k] / math.factorial(k)
                       for k in range(m + 1))
@@ -309,7 +316,7 @@ def b_function(eigen: EigenData, q: float, lam: float) -> float:
         raise _truncation_error(
             eigen, f"truncation top {eigen.lambda_max:.3g} cannot anchor the "
             f"tail at t_star={hi:g}", hi, lam)
-    g = _dressed_series(problem.Q, lam)
+    g = _dressed_series(problem, lam)
     t_conv = (1e-16 * abs(g[0]) / abs(g[-1])) ** (1.0 / SERIES_ORDER) if g[-1] else hi
     return _mellin_split(eigen, q, lam, g, max(lo, min(hi, t_conv)))
 

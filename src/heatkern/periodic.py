@@ -128,10 +128,6 @@ class PeriodicFunction:
             return np.zeros((self.matrix_dim, self.matrix_dim), dtype=complex)
         return self._modes[n + b].copy()
 
-    def content_key(self) -> tuple:
-        """Hashable key of the radius and the exact mode data (bytes)."""
-        return (self.a, self._modes.shape, self._modes.tobytes())
-
     def is_hermitian(self) -> bool:
         """``q_{-n} = q_n^dagger`` up to ``_HERM_TOL * max(1, max |q_n|)``, compared
         after dividing by the largest real or imaginary part, so nothing overflows."""

@@ -122,17 +122,17 @@ def weyl_log_det(problem, lam: float) -> float:
     return 2.0 * math.pi * problem.a * problem.dim * math.sqrt(-lam)
 
 
-def resummed_omega(problem, t: float, order: int) -> float:
-    """Partial sum sum_{k<=order} (-t)^k A_k / k! of the local expansion.
+def resummed_omega(invariants, t: float) -> float:
+    """Partial sum sum_k (-t)^k A_k / k! of the local expansion over the
+    given invariants A_0..A_order.
 
     Asymptotic in t/a^2 -> 0: the terms grow past the optimal order, they
     do not converge at fixed t.
     """
-    if order < 0:
+    if not invariants:
         raise ValueError("order must be >= 0")
     return math.fsum(
-        (-t) ** k * global_invariant(k, problem.Q).value / math.factorial(k)
-        for k in range(order + 1))
+        (-t) ** k * a_k / math.factorial(k) for k, a_k in enumerate(invariants))
 
 
 def _require_own_spectrum(problem, eigen) -> None:
@@ -146,13 +146,14 @@ def trace_comparison_rows(problem, eigen, ts, order: int = 6):
     from .oracle import omega as oracle_omega
 
     _require_own_spectrum(problem, eigen)
+    invariants = [global_invariant(k, problem.Q).value for k in range(order + 1)]
     rows = []
     for t in ts:
         rows.append((
             float(t),
             oracle_omega(eigen, float(t)),
             omega_exact2(problem, float(t)),
-            resummed_omega(problem, float(t), order),
+            resummed_omega(invariants, float(t)),
         ))
     return rows
 

@@ -61,10 +61,12 @@ def test_coeffs_table_and_json(capsys):
     ["coeffs", "--k", "1200"],
     ["invariants", "--k", "1200"],
     ["kdv", "--flow", "1200", "--steps", "10", "--grid", "64"],
-], ids=["coeffs", "invariants", "kdv"])
+    ["kdv", "--flow", "1200", "--grid", "64"],
+], ids=["coeffs", "invariants", "kdv", "kdv-suggested-steps"])
 def test_order_beyond_memory_is_refused(args):
     # in a fresh interpreter: a depth-first recursion to such an order ended
-    # in a RecursionError traceback, and building it would exhaust memory
+    # in a RecursionError traceback, building it would exhaust memory, and
+    # without --steps the step estimate for the flow overflowed first
     proc = subprocess.run([sys.executable, "-m", "heatkern.cli"] + args,
                           capture_output=True, text=True, timeout=10)
     assert (proc.returncode, proc.stdout) == (2, "")

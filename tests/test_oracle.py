@@ -301,7 +301,7 @@ def test_determinant_benchmark():
 def test_split_point_independence():
     prob = cosine_problem()
     e = eigendata(prob, 64)
-    g = _dressed_series(prob.Q, -2.0)
+    g = _dressed_series(prob, -2.0)
     for q in (0.5, -0.7):
         chosen = b_function(e, q, -2.0)
         for t_star in (0.1, 0.05, 0.025):
@@ -314,7 +314,7 @@ def test_split_mismatch_refusal_suggests_n_max():
     prob = cosine_problem()
     e = eigendata(prob, 64)
     with pytest.raises(ResolutionError, match="mismatch") as err:
-        _mellin_split(e, 0.5, -2.0, _dressed_series(prob.Q, -2.0), 2.0)
+        _mellin_split(e, 0.5, -2.0, _dressed_series(prob, -2.0), 2.0)
     assert list(err.value.suggestion) == ["n_max"]
 
 

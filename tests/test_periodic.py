@@ -161,12 +161,18 @@ def sampled_functions(draw):
     return values
 
 
+def _content(f: PeriodicFunction) -> tuple:
+    """The radius, the mode array's shape and its exact bytes."""
+    modes = np.stack([f.mode(n) for n in range(-f.bandwidth, f.bandwidth + 1)])
+    return (f.a, modes.shape, modes.tobytes())
+
+
 @settings(max_examples=300, deadline=None)
 @given(sampled_functions())
 def test_from_samples_matches_shell_by_shell_trim(values):
     new = PeriodicFunction.from_samples(values, 1.5)
     old = from_samples_shell_by_shell(values, 1.5)
-    assert new.content_key() == old.content_key()  # shape and mode bytes
+    assert _content(new) == _content(old)  # shape and mode bytes
 
 
 def test_from_samples_trim_edge_cases():
@@ -181,7 +187,7 @@ def test_from_samples_trim_edge_cases():
     for values in cases:
         new = PeriodicFunction.from_samples(values, 1.0)
         old = from_samples_shell_by_shell(values, 1.0)
-        assert new.content_key() == old.content_key()
+        assert _content(new) == _content(old)
     assert PeriodicFunction.from_samples(cases[-1], 1.0).bandwidth == 5
     assert PeriodicFunction.from_samples(cases[0], 1.0).bandwidth == 0
 

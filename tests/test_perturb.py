@@ -7,11 +7,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from heatkern.heatcoeffs import global_invariant
 from heatkern.oracle import (
     SpectralProblem,
     b_function,
     eigendata,
     floquet_log_det,
+    zeta,
 )
 from heatkern.oracle import omega as oracle_omega
 from heatkern.periodic import PeriodicFunction
@@ -173,28 +175,34 @@ def test_gamma_small_shift_trend():
 
 # ------------------------------------------------------------ resummation
 
+def _invariants(prob, order):
+    return [global_invariant(k, prob.Q).value for k in range(order + 1)]
+
+
 def test_resummed_omega_low_orders():
     prob = two_eps_cosine(0.3, a=2.0)
-    assert resummed_omega(prob, 0.1, 0) == pytest.approx(4.0 * math.pi)
+    assert resummed_omega(_invariants(prob, 0), 0.1) == pytest.approx(4.0 * math.pi)
     c = 0.7
     const = SpectralProblem(
         PeriodicFunction.constant(1.0, np.array([[c]], dtype=complex)))
     t = 0.4
     partial = sum((-t * c) ** k / math.factorial(k) for k in range(5))
-    assert resummed_omega(const, t, 4) == pytest.approx(2.0 * math.pi * partial)
+    assert resummed_omega(_invariants(const, 4), t) == pytest.approx(2.0 * math.pi * partial)
 
 
 def test_resummed_omega_tracks_oracle_at_small_t():
     prob = SpectralProblem(PeriodicFunction.cosine(1.0))
     e = eigendata(prob, 80)
-    assert abs(resummed_omega(prob, 0.05, 6)
+    assert abs(resummed_omega(_invariants(prob, 6), 0.05)
                - oracle_omega(e, 0.05)) <= 1e-10
 
 
 def test_resummed_omega_domain():
     prob = two_eps_cosine(0.1)
     with pytest.raises(ValueError):
-        resummed_omega(prob, 0.1, -1)
+        resummed_omega([], 0.1)
+    with pytest.raises(ValueError, match="order"):
+        trace_comparison_rows(prob, eigendata(prob, 32), [0.5], order=-1)
 
 
 # -------------------------------------------------------------- reporting
@@ -218,6 +226,24 @@ def test_det_comparison_rows():
         # oracle determinant sits near Weyl + free-boundary + gamma
         free_rest = 2.0 * math.log1p(-math.exp(-2.0 * math.pi * math.sqrt(-lam)))
         assert abs(ld - (weyl + free_rest + g)) <= 1e-4
+
+
+def test_each_sweep_evaluates_its_invariants_once(monkeypatch):
+    import heatkern.diffpoly as dp
+
+    calls = []
+    real = dp.evaluate
+    monkeypatch.setattr(dp, "evaluate", lambda *args: calls.append(args) or real(*args))
+    prob = two_eps_cosine(0.1)
+    e = eigendata(prob, 300)
+    lams = -np.geomspace(1.0, 400.0, 12)
+    rows = det_comparison_rows(prob, e, lams)
+    assert len(calls) == 9  # A_0..A_8, read by every lambda
+    assert det_comparison_rows(prob, e, lams) == rows
+    assert all(math.isfinite(zeta(e, s, -1.0)) for s in (1.5, 2.0, 2.5, 3.0, 3.5, 4.0))
+    assert len(calls) == 9
+    trace_comparison_rows(prob, e, 0.002 * 1.6 ** np.arange(14), order=6)
+    assert len(calls) == 9 + 7  # A_0..A_6, read by every t
 
 
 def test_rows_refuse_the_spectrum_of_another_problem():
