@@ -40,12 +40,12 @@ from .kdvflow import (
 from .oracle import (
     HP_DPS,
     SpectralProblem,
+    b_function,
     eigendata,
     eigenvalues_hp,
     floquet_log_det,
     heat_trace,
     heat_trace_hp,
-    log_det,
     omega,
 )
 from .periodic import PeriodicFunction
@@ -176,7 +176,7 @@ def _check_determinant_benchmark():
     target = 6.279446930026116322662  # 2 log(2 sinh pi)
     prob = SpectralProblem(
         PeriodicFunction.constant(1.0, np.array([[1.0]], dtype=complex)))
-    err = abs(log_det(eigendata(prob, 64), 0.0) - target)
+    err = abs(b_function(eigendata(prob, 64), 0.5, 0.0) - target)
     return err <= 1e-6, f"|log Det - 2 log(2 sinh pi)| = {err:.2e} (tol 1e-6)"
 
 

@@ -2,24 +2,27 @@
 
 A plane-wave Galerkin truncation, modes ordered 0, 1, -1, 2, -2, ... so the
 diagonal ascends, turns the operator into a Hermitian band matrix that
-LAPACK's banded solver reads in lower band storage (the graded order keeps
+LAPACK's banded routines read in lower band storage (the graded order keeps
 the small eigenvalues accurate).  ``eigendata(problem, n_max)`` returns an
-:class:`EigenData` that holds the problem with its spectrum, so everything
-downstream takes the spectrum alone:
+:class:`EigenData` that holds the truncation and computes its spectrum on
+first use, so everything downstream takes the truncation alone:
 
 * ``heat_trace(eigen, t)`` / ``omega(eigen, t)`` -- exponential sums with
   explicit refusal when the truncation cannot support the requested time,
-* ``b_function(eigen, q, lam)`` / ``log_det(eigen, lam)`` -- the Mellin
-  family B_q(lambda) via a split integral: the small-t series in the local
-  invariants integrated termwise and continued in q, and one upper
-  incomplete gamma per computed eigenvalue beyond, split where the series
-  has converged,
+* ``b_function(eigen, q, lam)`` -- the Mellin family B_q(lambda) via a
+  split integral: the small-t series in the local invariants integrated
+  termwise and continued in q, and one upper incomplete gamma per computed
+  eigenvalue beyond, split where the series has converged,
 * ``zeta(eigen, s, lam)`` -- the same family at q = 1/2 - s, continued in
-  s down to -5.5 except at its poles.
+  s down to -5.5 except at its poles,
+* ``log_det(eigen, lam)`` -- the Hill determinant: the free determinant in
+  closed form times one banded Cholesky of the rescaled Galerkin band, plus
+  the second-order tail in closed form; it needs no eigenvalues and no
+  invariants.
 
 ``floquet_log_det`` is an entirely independent determinant route for any
 bundle dimension (det(I - M) of the 2N x 2N period map M, by multiple
-shooting) used to cross-check the Mellin machinery.
+shooting) used to cross-check the other two.
 
 Conventions: potential modes q_n with q_{-n} = q_n^dagger, free eigenvalue
 of mode n is (n/a)^2, eigenvalues are reported sorted ascending.
@@ -88,7 +91,8 @@ class SpectralProblem:
     @cached_property
     def invariants(self) -> tuple[float, ...]:
         """``A_0..A_K`` (K = SERIES_ORDER), evaluated once per problem: every
-        Mellin value of a sweep over lambda or s reads the same ones."""
+        Mellin value of a sweep over lambda or s reads the same ones.  Only
+        the Mellin route (``b_function``, so ``zeta``) reads them."""
         return tuple(global_invariant(k, self.Q).value for k in range(SERIES_ORDER + 1))
 
     @classmethod
@@ -170,22 +174,20 @@ def assemble(problem: SpectralProblem, n_max: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigenData:
-    """Sorted spectrum of the Galerkin truncation |n| <= n_max of
-    ``problem``; the tail formulas read the radius, the bundle dimension,
-    the bandwidth and the mean mode from ``problem``."""
+    """The Galerkin truncation |n| <= n_max of ``problem``.  Its sorted
+    spectrum is computed on first use, so a determinant sweep, which reads
+    only the truncation, never eigensolves; the tail formulas read the
+    radius, the bundle dimension, the bandwidth and the mean mode from
+    ``problem``."""
 
     problem: SpectralProblem
     n_max: int
-    eigenvalues: np.ndarray
 
-    def __post_init__(self):
-        vals = np.asarray(self.eigenvalues, dtype=float)
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        vals = linalg.eigvals_banded(assemble(self.problem, self.n_max), lower=True)
         vals.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", vals)
-        if vals.ndim != 1 or vals.size != (2 * self.n_max + 1) * self.problem.dim:
-            raise ValueError("eigenvalue count disagrees with truncation size")
-        if np.any(np.diff(vals) < 0):
-            raise ValueError("eigenvalues must be sorted ascending")
+        return vals
 
     @property
     def lambda_min(self) -> float:
@@ -197,22 +199,31 @@ class EigenData:
 
 
 def eigendata(problem: SpectralProblem, n_max: int) -> EigenData:
-    vals = linalg.eigvals_banded(assemble(problem, n_max), lower=True)
-    return EigenData(problem, n_max, vals)
+    return EigenData(problem, n_max)
+
+
+def _fits_in_memory(problem: SpectralProblem, n_max: int) -> bool:
+    """Whether the band storage of truncation n_max, (kd+1)(2 n_max+1)N
+    complex entries, fits in physical memory."""
+    entries = (2 * problem.bandwidth + 1) * problem.dim ** 2 * (2 * n_max + 1)
+    return 16 * entries <= os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _refusal(problem: SpectralProblem, reason: str, n_max: int) -> ResolutionError:
+    """Refusal suggesting ``n_max``, or none where it does not fit in memory."""
+    if not _fits_in_memory(problem, n_max):
+        return ResolutionError(f"{reason}; no n_max that fits in memory can anchor the tail")
+    return ResolutionError(reason, suggestion={"n_max": n_max})
 
 
 def _truncation_error(eigen: EigenData, reason: str, t: float,
                       lam: float = 0.0) -> ResolutionError:
     """Refusal of a truncation whose top misses the e^{-45} floor at heat
-    time t, suggesting the n_max that reaches it -- unless that n_max's band
-    storage, (kd+1)(2 n_max+1)N complex entries, exceeds physical memory."""
+    time t, suggesting the n_max that reaches it where one fits in memory."""
     problem = eigen.problem
     n_max = (math.ceil(problem.a * math.sqrt(max(EXP_CUT / t + lam, 1.0)))
              + problem.bandwidth + 2)
-    entries = (2 * problem.bandwidth + 1) * problem.dim ** 2 * (2 * n_max + 1)
-    if 16 * entries > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
-        return ResolutionError(f"{reason}; no n_max that fits in memory can anchor the tail")
-    return ResolutionError(reason, suggestion={"n_max": n_max})
+    return _refusal(problem, reason, n_max)
 
 
 def heat_trace(eigen: EigenData, t: float) -> float:
@@ -321,11 +332,6 @@ def b_function(eigen: EigenData, q: float, lam: float) -> float:
     return _mellin_split(eigen, q, lam, g, max(lo, min(hi, t_conv)))
 
 
-def log_det(eigen: EigenData, lam: float) -> float:
-    """log Det(L - lam), i.e. B_q at q = 1/2."""
-    return b_function(eigen, 0.5, lam)
-
-
 def zeta(eigen: EigenData, s: float, lam: float) -> float:
     """Spectral zeta sum_n (lambda_n - lam)^{-s}, continued in s through
     the Mellin family: zeta(s) = Gamma(s - 1/2) / (2 sqrt(pi) Gamma(s))
@@ -349,6 +355,156 @@ def zeta(eigen: EigenData, s: float, lam: float) -> float:
     return value + 0.0   # turns -0.0 (s = 0, -2, ...) into 0, never printed "-0"
 
 
+# ------------------------------------------------------- Hill determinant
+
+DET_TAIL_RTOL = 1e-8   # third-order tail estimate against max(1, |log Det|)
+
+
+def _log_2sinh(x: float) -> float:
+    """log(2 sinh x) for x > 0, neither overflowing nor cancelling."""
+    return x + math.log(-math.expm1(-2.0 * x))
+
+
+def _pair_sum(k: int, a: float, sigma: float) -> float:
+    """sum over n in Z of 1/(D_n D_{n-k}), D_n = (n/a)^2 + sigma > 0.
+
+    With s = a sqrt(sigma) it is a^4 2 pi coth(pi s) / (s (k^2 + 4 s^2)) for
+    k != 0 and a^4 [pi coth(pi s) / (2 s^3) + pi^2 / (2 s^2 sinh^2(pi s))]
+    at k = 0, written in e^{-2 pi s} and sqrt(sigma) so that it neither
+    overflows (sigma = 1e300) nor cancels (sigma -> 0).
+    """
+    root = math.sqrt(sigma)
+    s = a * root
+    e = math.exp(-2.0 * math.pi * s)
+    one_minus_e = -math.expm1(-2.0 * math.pi * s)
+    coth = (1.0 + e) / one_minus_e
+    if k:
+        return 2.0 * math.pi * a * coth / root / ((k / a) * (k / a) + 4.0 * sigma)
+    csch = 2.0 * math.pi * a * math.exp(-math.pi * s) / one_minus_e  # pi a / sinh(pi s)
+    return (math.pi * a * coth / (2.0 * root) + 0.5 * csch * csch) / sigma
+
+
+def _cube_tail(c: int, a: float, sigma: float) -> float:
+    """Upper bound on sum_{m >= c} D_m^{-3}, c >= 1: its first term plus
+    the integral of the decreasing D^{-3} from c, which is at most
+    a^2 D_c^{-2} min(1/(5c), pi/(2 a sqrt(sigma)))."""
+    r = 1.0 / ((c / a) * (c / a) + sigma)
+    s = a * math.sqrt(sigma)
+    reach = 0.2 / c if 0.4 * s <= math.pi * c else 0.5 * math.pi / s
+    return r * r * r + (a * r) * (a * r) * reach
+
+
+def _split_mean(problem: SpectralProblem) -> tuple[float, np.ndarray]:
+    """q_bar = tr q_0 / N and v_0 = q_0 - q_bar, the zero mode of Q - q_bar."""
+    q0 = problem.Q.mean()
+    q_bar = float(np.trace(q0).real) / problem.dim
+    return q_bar, q0 - q_bar * np.eye(problem.dim)
+
+
+def _third_order_estimate(problem: SpectralProblem, n_max: int, sigma: float) -> float:
+    """N W^3 sum_{|m| > n_max - 2B} D_m^{-3}, W = sum_k ||v_k||_2: the size
+    of the third-order products of modes that reach past the truncation."""
+    width = float(np.linalg.norm(_split_mean(problem)[1], 2)) + 2.0 * sum(
+        float(np.linalg.norm(problem.Q.mode(k), 2))
+        for k in range(1, problem.bandwidth + 1))
+    edge = n_max - 2 * problem.bandwidth
+    cubes = 2.0 * _cube_tail(max(edge, 0) + 1, problem.a, sigma)
+    if edge < 0:
+        cubes += (1.0 / sigma) ** 3
+    return problem.dim * width * width * width * cubes
+
+
+def log_det(eigen: EigenData, lam: float) -> float:
+    """log Det(L - lam) as a Hill determinant, with no eigensolve.
+
+    With q_bar = tr q_0 / N, sigma = q_bar - lam, D_n = (n/a)^2 + sigma and
+    v_k the modes of V = Q - q_bar,
+
+        log Det = 2N log(2 sinh(pi a sqrt(sigma))) + log det(I + K) + T_2,
+
+    the free determinant of -D^2 + sigma times the Fredholm determinant of
+    I + K, K = D^{-1/2} V D^{-1/2}.  On the truncation |n| <= n_max,
+    I + K = D^{-1/2} (H - lam) D^{-1/2} is ``assemble``'s band rescaled, and
+    log det(I + K), the sum of the logs of its squared Cholesky pivots,
+    takes one banded Cholesky.  The first-order tail vanishes
+    (tr v_0 = 0); the second-order tail is
+
+        T_2 = -1/2 sum_{|k| <= B} tr(v_k v_{-k}) sum' 1/(D_n D_{n-k})
+
+    over the pairs (n, n - k) not both inside: the closed-form lattice sum
+    :func:`_pair_sum` minus the pairs inside.  What remains is third order,
+    about n_max^-5.
+
+    Refuses, with ``ValueError``, a non-finite lam, a lam with sigma <= 0
+    (lambda_1 <= min eig q_0 <= q_bar, so it is not below the spectrum) and
+    a lam at which the Cholesky fails, at or above the truncation's lowest
+    eigenvalue.  Refuses, with ``ResolutionError``, a truncation whose
+    third-order tail estimate :func:`_third_order_estimate` exceeds
+    DET_TAIL_RTOL max(1, |log Det|), suggesting the smallest n_max that
+    meets it where one fits in memory.
+    """
+    problem, n_max = eigen.problem, eigen.n_max
+    if not math.isfinite(lam):
+        raise ValueError(f"lam={lam:g} is not finite")
+    N, a, bw = problem.dim, problem.a, problem.bandwidth
+    q_bar, v0 = _split_mean(problem)
+    sigma = q_bar - lam
+    if not sigma > 0.0:
+        raise ValueError(f"lam={lam:g} is not below the spectrum: "
+                         f"lambda_1 <= tr q_0 / N = {q_bar:g}")
+    ab = assemble(problem, n_max)
+    ns = (np.arange(2 * n_max + 1) + 1) // 2          # |n| at each block
+    d = np.repeat((ns / a) ** 2 + sigma, N)
+    diag_k = np.tile(np.diag(v0).real, 2 * n_max + 1) / d
+    ab[0] = 1.0 + diag_k
+    scale = 1.0 / np.sqrt(d)
+    for r in range(1, ab.shape[0]):
+        ab[r, :-r] *= scale[r:] * scale[:-r]
+    try:
+        chol = linalg.cholesky_banded(ab, lower=True)
+    except np.linalg.LinAlgError:
+        raise ValueError(f"lam={lam:g} is not below the spectrum of the "
+                         f"truncation n_max={n_max}") from None
+    # the squared pivots 1 + K_jj - sum_i |L_ji|^2 from the factor's
+    # off-diagonal part: its diagonal, a square root within ulps of 1 on
+    # the high modes, rounds away from 1 on half of them, a bias of 1e-13
+    # in log det(I + K) at n_max = 1000
+    pivot_less_one = diag_k.copy()
+    for r in range(1, chol.shape[0]):
+        pivot_less_one[r:] -= np.abs(chol[r, :-r]) ** 2
+    recip = 1.0 / ((np.arange(-n_max, n_max + 1) / a) ** 2 + sigma)
+    t2 = 0.0
+    for k in range(bw + 1):
+        weight = (float(np.linalg.norm(v0)) ** 2 if k == 0
+                  else 2.0 * problem.Q.mode_norm_sq(k))
+        if weight:
+            inside = float(recip[k:] @ recip[:recip.size - k])
+            t2 -= 0.5 * weight * (_pair_sum(k, a, sigma) - inside)
+    value = (2.0 * N * _log_2sinh(math.pi * a * math.sqrt(sigma))
+             + float(np.sum(np.log1p(pivot_less_one))) + t2)
+    if not math.isfinite(value):
+        raise OverflowError(f"log Det(L - lam) at lam={lam:g} is beyond float64")
+
+    tol = DET_TAIL_RTOL * max(1.0, abs(value))
+    estimate = _third_order_estimate(problem, n_max, sigma)
+    if estimate > tol:
+        reason = (f"truncation n_max={n_max} too small for lam={lam:g}: "
+                  f"third-order tail estimate {estimate:.3g} > {tol:.3g}")
+        lo, hi = n_max, 2 * n_max + 1
+        while _third_order_estimate(problem, hi, sigma) > tol:
+            if not _fits_in_memory(problem, hi):
+                raise _refusal(problem, reason, hi)
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if _third_order_estimate(problem, mid, sigma) > tol:
+                lo = mid
+            else:
+                hi = mid
+        raise _refusal(problem, reason, hi)
+    return value
+
+
 # ------------------------------------------------- independent determinant
 
 FLOQUET_RTOL = 1e-12
@@ -365,8 +521,8 @@ def floquet_log_det(problem: SpectralProblem, lam: float) -> float:
     determinant of the block-cyclic matrix with I on the diagonal and -P_j
     in block (j+1 mod m, j).  A sign other than (-1)^N means Det <= 0 (an
     odd number of eigenvalues below lam) and raises ``ArithmeticError``.
-    Completely independent of the eigenvalue/Mellin pipeline — used as a
-    cross-check oracle.
+    Completely independent of the Galerkin routes — used as a cross-check
+    oracle.
     """
     from scipy.integrate import solve_ivp
 

@@ -160,7 +160,8 @@ def trace_comparison_rows(problem, eigen, ts, order: int = 6):
 
 def det_comparison_rows(problem, eigen, lams):
     """(lam, logDet_oracle, Weyl, gamma) rows for reporting; ``eigen`` must
-    be the spectrum of ``problem``."""
+    be the truncation of ``problem``, whose spectrum the Hill determinant
+    never computes."""
     from .oracle import log_det
 
     _require_own_spectrum(problem, eigen)

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from test_oracle import _JSON_PROBLEMS
 
 from heatkern import cli, perturb
+from heatkern.oracle import floquet_log_det
 from heatkern.specfun import integrate_unit_interval
 
 
@@ -328,33 +329,49 @@ def test_det_rows_negative_lambda(capsys):
     assert abs(log_det - exact) <= 1e-8 * abs(exact)
 
 
-def test_det_resolution_refusal(capsys):
-    args = ["det", "--problem", "constant_a1_N1.json", "--lam-grid=-64"]
-    code, out, err = run_cli(args + ["--n-max", "48"], capsys)
+def test_det_resolution_refusal(tmp_path, capsys):
+    # 10 cos x at n_max 8: the third-order tail estimate of the Hill
+    # determinant is far above 1e-8 of log Det
+    path = write_problem(tmp_path, "cos10.json",
+                         {"a": 1.0, "N": 1, "modes": [{"n": 1, "matrix": [[[5.0, 0.0]]]}]})
+    args = ["det", "--problem", path, "--lam-grid=-11"]
+    code, out, err = run_cli(args + ["--n-max", "8"], capsys)
     assert (code, out) == (3, "")
     payload = json.loads(err)
     assert payload["exit"] == 3 and payload["error"] == "resolution"
-    # the suggestion names only what a flag sets, and it is sufficient
+    assert "third-order tail estimate" in payload["reason"]
+    # the suggestion names only what a flag sets, and it is the smallest
+    # sufficient one
     assert list(payload["suggestion"]) == ["n_max"]
     n_max = payload["suggestion"]["n_max"]
-    assert n_max > 48
+    assert n_max > 8
+    code, out, err = run_cli(args + ["--n-max", str(n_max - 1)], capsys)
+    assert code == 3
     code, out, err = run_cli(args + ["--n-max", str(n_max)], capsys)
     assert (code, err) == (0, "")
-    assert out.startswith("lam,log_det_oracle,weyl,gamma\n-64,")
+    assert out.startswith("lam,log_det_oracle,weyl,gamma\n-11,")
+    value = float(out.splitlines()[1].split(",")[1])
+    assert abs(value - floquet_log_det(cli.load_problem(path), -11.0)) <= 1e-10
 
 
 def test_reachable_truncation_suggests_n_max(capsys):
-    code, out, err = run_cli(["det", "--lam-grid=-1e6"], capsys)
+    # zeta's Mellin route anchors its tail on the computed spectrum
+    code, out, err = run_cli(["zeta", "--s-grid", "2", "--lam=-1e6"], capsys)
     assert (code, out) == (3, "")
     assert len(err.splitlines()) == 1
     assert json.loads(err)["suggestion"] == {"n_max": 14969}
+    # the Hill determinant needs no such truncation: 2 log(2 sinh 1000 pi)
+    code, out, err = run_cli(["det", "--lam-grid=-1e6"], capsys)
+    assert (code, err) == (0, "")
+    value = float(out.splitlines()[1].split(",")[1])
+    exact = 2.0 * (1000.0 * math.pi + math.log1p(-math.exp(-2000.0 * math.pi)))
+    assert abs(value - exact) <= 1e-15 * exact
 
 
 @pytest.mark.parametrize("args", [
-    ["det", "--lam-grid=-1e300"],
     ["zeta", "--s-grid", "2", "--lam=-1e300"],
     ["trace", "--t-grid", "1e-300"],
-], ids=["det", "zeta", "trace"])
+], ids=["zeta", "trace"])
 def test_unreachable_truncation_suggests_nothing(capsys, args):
     # the n_max that would anchor the tail has some 150 digits; no memory
     # holds its Galerkin band, so the refusal names no n_max
@@ -364,6 +381,46 @@ def test_unreachable_truncation_suggests_nothing(capsys, args):
     payload = json.loads(err)
     assert payload["error"] == "resolution" and "suggestion" not in payload
     assert payload["reason"].endswith("; no n_max that fits in memory can anchor the tail")
+
+
+def test_det_far_below_the_spectrum_is_the_free_closed_form(capsys):
+    # sigma = 1e300: K vanishes in float64 and log(2 sinh x) = x + log1p(...)
+    # stays finite, so log Det equals its Weyl part
+    code, out, err = run_cli(["det", "--lam-grid=-1e300"], capsys)
+    assert (code, err) == (0, "")
+    lam, value, weyl, gamma = out.splitlines()[1].split(",")
+    assert float(value) == float(weyl) == 2.0 * math.pi * 1e150
+
+
+def test_det_at_or_above_lambda_1_is_config_error(tmp_path, capsys):
+    # cos x has lambda_1 = -0.378: at -0.2 the Cholesky fails.  With
+    # Q = cos x - 1, lambda_1 <= tr q_0 = -1 refuses -0.5 before it.
+    shifted = {"a": 1.0, "N": 1, "modes": [{"n": 0, "matrix": [[[-1.0, 0.0]]]},
+                                           {"n": 1, "matrix": [[[0.5, 0.0]]]}]}
+    for name, obj, lam in (("cos.json", COSINE, "-0.2"), ("shifted.json", shifted, "-0.5")):
+        path = write_problem(tmp_path, name, obj)
+        code, out, err = run_cli(["det", "--problem", path, f"--lam-grid={lam}"], capsys)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "config" and "not below the spectrum" in payload["reason"]
+
+
+def test_det_runs_no_eigensolve_and_no_invariants(tmp_path, capsys, monkeypatch):
+    import heatkern.diffpoly as dp
+    from scipy import linalg
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(linalg, "eigvals_banded", refuse)
+    monkeypatch.setattr(dp, "evaluate", refuse)
+    path = write_problem(tmp_path, "cos.json", COSINE)
+    code, out, err = run_cli(["det", "--problem", path, "--lam-grid=-1,-26"], capsys)
+    assert (code, err) == (0, "") and len(out.splitlines()) == 3
+    # the patches bite: zeta needs both
+    with pytest.raises(AssertionError, match="called"):
+        run_cli(["zeta", "--problem", path, "--s-grid", "2"], capsys)
 
 
 def test_zeta_rows_match_lattice_sum(capsys):

@@ -2,7 +2,10 @@
 and the independent period-map determinant.  Reference numbers were
 computed with mpmath or closed forms noted inline."""
 
+import importlib.util
+import json
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -10,16 +13,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg, special
+from scipy.integrate import quad
 
 from heatkern.errors import ResolutionError
 from heatkern.heatcoeffs import global_invariant
 from heatkern.oracle import (
     EigenData,
     SpectralProblem,
+    _cube_tail,
     _dressed_series,
+    _log_2sinh,
     _mellin_split,
     _newton_refine_tridiagonal,
+    _pair_sum,
     _parity_tridiagonals,
+    _third_order_estimate,
     _upper_gamma,
     assemble,
     b_function,
@@ -406,7 +414,7 @@ def test_mellin_vs_floquet_cosine():
     prob = cosine_problem()
     e = eigendata(prob, 64)
     for lam in (-2.0, -9.0):
-        assert abs(log_det(e, lam) - floquet_log_det(prob, lam)) <= 1e-10
+        assert abs(b_function(e, 0.5, lam) - floquet_log_det(prob, lam)) <= 1e-10
 
 
 def test_floquet_free_closed_form():
@@ -440,7 +448,7 @@ def test_floquet_matrix_matches_mellin():
     assert np.any(prob.Q.mode(1)[0, 1])          # genuinely coupled
     e = eigendata(prob, 400)
     for lam in (-1.0, -26.0, -400.0):
-        mellin = log_det(e, lam)
+        mellin = b_function(e, 0.5, lam)
         assert abs(floquet_log_det(prob, lam) - mellin) <= 1e-12 * abs(mellin)
 
 
@@ -454,6 +462,122 @@ def test_floquet_refuses_negative_determinant():
         for lam in (0.5, 2.5):
             with pytest.raises(ArithmeticError):
                 floquet_log_det(prob, lam)
+
+
+# ------------------------------------------------------- Hill determinant
+
+def _direct_sum(f, start, s):
+    """sum_{n >= start} f(n): float64 terms far past the flat part of width
+    about s, then the integral of the rest from the last midpoint (x = c/u
+    maps it onto (0, 1]); the rest is below 1e-9 of these sums and the
+    midpoint rule's error, f'/24 there, below 1e-17."""
+    cut = start + 1000 * (1 + math.ceil(s))
+    head = math.fsum(f(np.arange(start, cut, dtype=float)))
+    c = cut - 0.5
+    return head + quad(lambda u: f(c / u) * c / u ** 2, 0.0, 1.0, epsabs=0.0, epsrel=1e-10)[0]
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_pair_sum_matches_direct_sum(k):
+    for a in (1.0, 1.7):
+        for s in (0.05, 0.3, 1.0, 7.0, 60.0, 1e3):
+            sigma = (s / a) ** 2
+
+            def f(n):
+                return 1.0 / (((n / a) ** 2 + sigma) * (((n - k) / a) ** 2 + sigma))
+
+            direct = _direct_sum(f, 0, s) + _direct_sum(lambda n: f(-n), 1, s)
+            assert abs(_pair_sum(k, a, sigma) - direct) <= 1e-15 * direct, (a, s)
+
+
+def test_cube_tail_bounds_direct_sum():
+    # an upper bound on sum_{m >= c} D_m^-3, within a factor 4
+    for a in (1.0, 1.7):
+        for s in (0.05, 1.0, 30.0, 1e3):
+            sigma = (s / a) ** 2
+            for c in (1, 10, 100, 1000):
+                direct = _direct_sum(lambda m: ((m / a) ** 2 + sigma) ** -3.0, c, s)
+                assert direct <= _cube_tail(c, a, sigma) <= 4.0 * direct, (a, s, c)
+
+
+@pytest.mark.filterwarnings("error")
+def test_closed_forms_at_extreme_shifts():
+    assert _log_2sinh(1e150) == 1e150
+    assert abs(_log_2sinh(1e-10) - math.log(2e-10)) <= 1e-15 * abs(math.log(2e-10))
+    assert abs(_log_2sinh(1.0) - math.log(2.0 * math.sinh(1.0))) <= 2e-16
+    for k in (0, 2):
+        assert 0.0 <= _pair_sum(k, 1.0, 1e300) < 1e-300
+        assert 0.0 <= _cube_tail(1 + k, 1.0, 1e300) < 1e-300
+    # sigma -> 0: the n = 0 term 1/sigma^2 dominates, nothing cancels
+    assert abs(_pair_sum(0, 1.0, 1e-12) - 1e24) <= 1e-15 * 1e24
+
+
+def _bench_problems(folder):
+    """The benchmark's seed-7 matrix (①) and even scalar (②) problems with
+    their n_max and lambda-grids."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_inputs", Path(__file__).resolve().parents[1] / "bench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    paths = inputs.write_problems(7, folder)
+    return [(SpectralProblem.from_json_obj(json.loads(Path(paths[name]).read_text())),
+             n_max, lams)
+            for name, n_max, lams in (("matrix", 400, inputs.DET_MATRIX_LAMS),
+                                      ("scalar_even", 1000, inputs.DET_SCALAR_LAMS))]
+
+
+def test_log_det_matches_period_map(tmp_path):
+    cases = [(random_problem(11, dim=2, bandwidth=3, a=a), 400, (-1.0, -26.0, -400.0))
+             for a in (1.0, 1.7)] + _bench_problems(tmp_path)
+    for prob, n_max, lams in cases:
+        e = eigendata(prob, n_max)
+        for lam in lams:
+            ref = floquet_log_det(prob, lam)
+            assert abs(log_det(e, lam) - ref) <= 1e-12 * abs(ref), (prob.a, lam)
+
+
+def test_log_det_stays_flat_in_n_max():
+    # past convergence only round-off changes the value; the high modes'
+    # Cholesky pivots lie within ulps of 1, where taking their square roots
+    # drifts log Det by about 1e-16 per mode
+    for prob in (cosine_problem(amplitude=0.5), random_problem(11, dim=2, bandwidth=3)):
+        for lam in (-1.0, -26.0):
+            low = log_det(eigendata(prob, 100), lam)
+            assert abs(log_det(eigendata(prob, 2000), lam) - low) <= 5e-15 * abs(low)
+
+
+def test_tail_estimate_bounds_truncation_error(monkeypatch, tmp_path):
+    # with the refusal off, every truncation answers; the estimate stays
+    # above its true error (the period map is good to ~1e-13 relative)
+    monkeypatch.setattr("heatkern.oracle.DET_TAIL_RTOL", math.inf)
+    cases = [(cosine_problem(amplitude=amp), (-1.0 - amp, -4.0 * amp))
+             for amp in (0.5, 2.0, 10.0)]
+    cases += [(random_problem(11, dim=2, bandwidth=3, a=a), (-1.0, -26.0)) for a in (1.0, 1.7)]
+    cases += [(prob, lams[::7]) for prob, _, lams in _bench_problems(tmp_path)]
+    measured = 0
+    for prob, lams in cases:
+        q_bar = float(np.trace(prob.Q.mean()).real) / prob.dim
+        for lam in lams:
+            ref = floquet_log_det(prob, lam)
+            for n_max in (8, 16, 32, 64, 128):
+                err = abs(log_det(eigendata(prob, n_max), lam) - ref)
+                assert err <= _third_order_estimate(prob, n_max, q_bar - lam) + 1e-12 * abs(ref)
+                measured += err > 1e-12 * abs(ref)
+    assert measured >= 30   # the bound is tested where the error shows
+
+
+def test_log_det_refuses_lam_not_below_the_truncated_spectrum():
+    prob = cosine_problem()
+    e = eigendata(prob, 64)
+    # lambda_1 of the truncation is where the Cholesky fails
+    assert math.isfinite(log_det(e, e.lambda_min - 1e-6))
+    with pytest.raises(ValueError, match="not below the spectrum of the truncation"):
+        log_det(e, e.lambda_min + 1e-6)
+    # lambda_1 <= tr q_0 / N = 0: refused before any factorization
+    with pytest.raises(ValueError, match="tr q_0 / N"):
+        log_det(e, 0.5)
+    with pytest.raises(ValueError, match="not finite"):
+        log_det(e, -math.inf)
 
 
 # ------------------------------------------------------------ problem JSON
