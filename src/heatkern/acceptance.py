@@ -75,12 +75,13 @@ def exact_cosine_invariant(k: int) -> Fraction:
     Writing ``cos^(d)(x) = (1/2) sum_{s=+-1} (s i)^d e^{isx}``, the zero mode
     of a word ``(d_1 .. d_m)`` is a sum over balanced sign vectors; the
     phase ``i^(d_1+..+d_m)`` collapses to ``(-1)^(k-m)`` because each word of
-    ``[a_k]`` has total derivative order ``2k - 2m``.  Exactness here matters:
-    the small-t check resolves residuals near 1e-24, far below what float64
-    invariants could anchor.
+    ``[a_k]`` has total derivative order ``2k - 2m``.  The sum depends only
+    on each word's multiset of letters, so it runs over the commutative
+    image.  Exactness here matters: the small-t check resolves residuals
+    near 1e-24, far below what float64 invariants could anchor.
     """
     total = Fraction(0)
-    for mono in taylor_coefficient(k, 0).terms():
+    for mono in commutative_image(taylor_coefficient(k, 0)).terms():
         word = mono.word
         m = len(word)
         if m == 0:

@@ -39,6 +39,7 @@ __all__ = [
     "differentiate",
     "antiderivative",
     "commutative_image",
+    "cyclic_image",
     "evaluate",
     "min_grid",
     "fft_grid",
@@ -214,6 +215,19 @@ def commutative_image(p: DiffPoly) -> DiffPoly:
     out: dict[Word, int] = {}
     for w, c in p._num.items():
         _add_term(out, tuple(sorted(w)), c)
+    return _poly(out, p._den)
+
+
+def cyclic_image(p: DiffPoly) -> DiffPoly:
+    """Project onto cyclic words (necklaces): each word becomes its
+    lexicographically least rotation.
+
+    Since ``tr(AB) = tr(BA)``, the image has the same trace as ``p`` at every
+    point against any matrix potential, though not the same matrix values.
+    """
+    out: dict[Word, int] = {}
+    for w, c in p._num.items():
+        _add_term(out, min((w[i:] + w[:i] for i in range(len(w))), default=w), c)
     return _poly(out, p._den)
 
 

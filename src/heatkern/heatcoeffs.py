@@ -16,6 +16,11 @@ Both produce canonical :class:`~heatkern.diffpoly.DiffPoly` objects, so the
 agreement check is exact, not numeric.  Normalisation: ``[a_0] = 1``,
 ``[a_1] = Q``, ``[a_2] = Q^2 - Q''/3``, and the integrated invariants are
 ``A_k = integral tr [a_k] dx`` with ``A_0 = 2*pi*a*N``.
+
+:func:`global_invariant` integrates the trace image of ``[a_k]``, one word
+per class of words whose traces agree at every point (the trace is cyclic,
+and a scalar potential commutes): 137 of 4181 words at k = 10 for a scalar
+potential, 142 of 610 at k = 8 for a matrix one.
 """
 
 from __future__ import annotations
@@ -239,19 +244,31 @@ class GlobalInvariant:
 def global_invariant(k: int, Q: PeriodicFunction, grid: int | None = None) -> GlobalInvariant:
     """Evaluate ``A_k`` for a band-limited potential.
 
+    The integrand is the trace image of ``[a_k]``: its commutative image
+    for a 1x1 potential, its cyclic image (``tr(AB) = tr(BA)``) otherwise.
+    The image has the same trace as ``[a_k]`` at every point, not merely
+    the same integral, so no integration by parts enters.
+
     The evaluation grid defaults to the smallest anti-aliased size for
     ``[a_k]`` at the potential's bandwidth (rounded up to an FFT-friendly
-    even size), so the circle integral -- the zero Fourier mode times
-    ``2*pi*a`` -- is exact up to round-off.  Nothing is memoised here: a
-    sweep over lambda, s or t evaluates its invariants once, where it runs.
+    even size; the words that set it, ``Q^k`` and ``Q^(2k-2)``, are classes
+    of their own, so the image needs the same), so the circle integral --
+    the zero Fourier mode times ``2*pi*a`` -- is exact up to round-off.
+    Nothing is memoised here: a sweep over lambda, s or t evaluates its
+    invariants once, where it runs.
     A value beyond the float64 range (a tiny radius or huge modes) raises
     ``FloatingPointError``.
     """
     poly = taylor_coefficient(k, 0)
     if grid is None:
         grid = dp.fft_grid(dp.min_grid(poly, Q.bandwidth))
+    image = dp.commutative_image(poly) if Q.matrix_dim == 1 else dp.cyclic_image(poly)
+    # the trie's child order sets the round-off: in lexicographic order the
+    # cosine invariants stay within 5e-15 up to k = 10, in the image's own
+    # order they do not
+    image = dp._poly(dict(sorted(image._num.items())), image._den)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        value = dp.evaluate(poly, Q, grid).trace_integral()
+        value = dp.evaluate(image, Q, grid).trace_integral()
     if not math.isfinite(value):
         raise FloatingPointError(f"A_{k} of this potential is beyond the float64 range")
     return GlobalInvariant(k=k, value=value, grid=grid)

@@ -22,7 +22,7 @@ PINNED_DETAIL = {
         "range 2.61e-24..2.55e-10"),
     "conservation-involution": (
         "flow-2 drift A2..A5: 8.32e-12; cross-drifts I_m under flows 1/2/3: "
-        "1.57e-14/5.13e-12/2.84e-11 (tol 1e-6); halving ratios 16.1..17.8 "
+        "1.58e-14/5.13e-12/2.84e-11 (tol 1e-6); halving ratios 16.1..17.8 "
         "(need ~16)"),
 }
 

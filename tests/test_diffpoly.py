@@ -16,6 +16,7 @@ from heatkern.diffpoly import (
     ZERO,
     antiderivative,
     commutative_image,
+    cyclic_image,
     differentiate,
     evaluate,
     make,
@@ -92,6 +93,18 @@ def test_commutative_image_is_idempotent_ring_map(p):
     # image words are sorted
     for mono in cp.terms():
         assert tuple(sorted(mono.word)) == mono.word
+
+
+@given(polys, polys)
+@settings(max_examples=60, deadline=None)
+def test_cyclic_image_is_idempotent_and_identifies_rotations(p, q):
+    cp = cyclic_image(p)
+    assert cyclic_image(cp) == cp
+    # tr(pq) = tr(qp): every rotation of a word lands on one necklace
+    assert cyclic_image(p * q) == cyclic_image(q * p)
+    for mono in cp.terms():
+        w = mono.word
+        assert all(w <= w[i:] + w[:i] for i in range(len(w)))
 
 
 def test_weight_grading():

@@ -264,6 +264,64 @@ def test_global_invariant_keeps_no_state(monkeypatch):
     assert abs(other_grid.value - first.value) <= 1e-12 * abs(first.value)
 
 
+def _random_potential(dim: int, bandwidth: int) -> PeriodicFunction:
+    rng = np.random.default_rng(17)
+    raw = {n: rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+           for n in range(bandwidth + 1)}
+    raw[0] = raw[0] + raw[0].conj().T
+    return PeriodicFunction.from_modes(1.0, raw, n_dim=dim)
+
+
+def test_global_invariant_evaluates_one_word_per_trace_class(monkeypatch):
+    import heatkern.diffpoly as dp
+
+    handed = []
+    real = dp.evaluate
+    monkeypatch.setattr(dp, "evaluate",
+                        lambda p, *args: handed.append(list(p._num)) or real(p, *args))
+    # scalar: one word per multiset of letters; matrix: one per necklace
+    for dim, bandwidth, counts in [(1, 2, [1, 1, 2, 4, 7, 12, 21, 34, 55, 88, 137]),
+                                   (2, 3, [1, 1, 2, 4, 7, 14, 30, 63, 142])]:
+        Qf = _random_potential(dim, bandwidth)
+        for k, count in enumerate(counts):
+            handed.clear()
+            inv = global_invariant(k, Qf)
+            (words,) = handed
+            assert len(words) == count and words == sorted(words), (dim, k)
+            assert inv.grid == fft_grid(min_grid(taylor_coefficient(k, 0), bandwidth))
+
+
+def _trace_integral_long(p: DiffPoly, Qf: PeriodicFunction, grid: int) -> np.longdouble:
+    """``integral tr p`` summed word by word in extended precision, from
+    samples summed mode by mode: no trie, no image, no FFT."""
+    n, b = Qf.matrix_dim, Qf.bandwidth
+    pi = np.arccos(np.longdouble(-1))
+    phase = {m: np.exp(2j * pi * ((m * np.arange(grid)) % grid) / grid)[:, None, None]
+             for m in range(-b, b + 1)}
+    samples = {}
+    acc = np.zeros((grid, n, n), dtype=np.clongdouble)
+    for mono in p.terms():
+        prod = np.broadcast_to(np.eye(n, dtype=np.clongdouble), (grid, n, n))
+        for d in mono.word:
+            if d not in samples:
+                samples[d] = sum((1j * np.longdouble(m) / np.longdouble(Qf.a)) ** d
+                                 * Qf.mode(m).astype(np.clongdouble) * phase[m]
+                                 for m in range(-b, b + 1))
+            prod = prod @ samples[d]
+        acc = acc + np.longdouble(mono.coeff.numerator) / mono.coeff.denominator * prod
+    return 2 * pi * np.longdouble(Qf.a) * np.trace(acc, axis1=1, axis2=2).real.mean()
+
+
+@pytest.mark.parametrize("dim,bandwidth,k_max", [(1, 2, 10), (2, 3, 8)],
+                         ids=["scalar-bw2", "matrix-bw3"])
+def test_global_invariant_matches_extended_precision_word_sum(dim, bandwidth, k_max):
+    Qf = _random_potential(dim, bandwidth)
+    for k in range(k_max + 1):
+        inv = global_invariant(k, Qf)
+        want = _trace_integral_long(taylor_coefficient(k, 0), Qf, inv.grid)
+        assert abs(inv.value - want) <= 2e-13 * abs(want), k
+
+
 def test_evaluate_diagonal_coefficient_hermitian():
     rng = np.random.default_rng(5)
     raw = {0: None, 1: None}
@@ -296,11 +354,7 @@ def _word_by_word(p: DiffPoly, Qf: PeriodicFunction, grid: int) -> PeriodicFunct
 @pytest.mark.parametrize("dim,bandwidth,k_max", [(2, 3, 8), (1, 2, 10)],
                          ids=["matrix-bw3", "scalar-bw2"])
 def test_evaluate_matches_word_by_word_products(dim, bandwidth, k_max):
-    rng = np.random.default_rng(17)
-    raw = {n: rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-           for n in range(bandwidth + 1)}
-    raw[0] = raw[0] + raw[0].conj().T
-    Qf = PeriodicFunction.from_modes(1.0, raw, n_dim=dim)
+    Qf = _random_potential(dim, bandwidth)
     for k in range(k_max + 1):
         p = taylor_coefficient(k, 0)
         grid = fft_grid(min_grid(p, bandwidth))
