@@ -11,18 +11,12 @@ perturb     second-order (weak-potential) closed forms
 kdvflow     integrable hierarchy flows and conservation checks
 """
 
-from .errors import (
-    FlowDivergenceError,
-    HeatKernError,
-    NotExactDerivativeError,
-    ResolutionError,
-)
+from .errors import HeatKernError, NotExactDerivativeError, ResolutionError
 from .periodic import PeriodicFunction
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "FlowDivergenceError",
     "HeatKernError",
     "NotExactDerivativeError",
     "PeriodicFunction",

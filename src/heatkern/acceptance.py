@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -61,7 +60,6 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-    elapsed: float
 
 
 # ---------------------------------------------------------------------------
@@ -299,12 +297,11 @@ def run_check(name: str) -> CheckResult:
     """Run one named check; unexpected exceptions count as failures."""
     if name not in _CHECKS:
         raise ValueError(f"unknown check {name!r}; choose from {CHECK_NAMES}")
-    start = time.perf_counter()
     try:
         passed, detail = _CHECKS[name]()
     except Exception as exc:  # a crash is a failed guarantee, not a crash of the runner
         passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-    return CheckResult(name, passed, detail, time.perf_counter() - start)
+    return CheckResult(name, passed, detail)
 
 
 def run_all(only: list[str] | None = None) -> list[CheckResult]:

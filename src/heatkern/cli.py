@@ -250,11 +250,8 @@ def render_poly(poly) -> str:
     dropped, and terms are ordered by word length then lexicographically,
     so ``[a_1]`` renders as ``Q`` and ``[a_2]`` as ``-1/3*Q'' + Q*Q``.
     """
-    monos = poly.terms()
-    if not monos:
-        return "0"
     pieces = []
-    for mono in monos:
+    for mono in poly.terms():
         magnitude = abs(mono.coeff)
         if not mono.word:
             text = str(magnitude)

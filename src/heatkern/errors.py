@@ -5,9 +5,10 @@ the most specific class that applies:
 
 * bad user input / malformed configuration  -> ``ValueError`` (or a subclass)
 * a request the solver refuses because the discretisation is too coarse
-  (eigenbasis cutoff, evaluation grid, quadrature split) -> ``ResolutionError``,
-  which carries a suggestion for a workable setting (``n_max``, ``steps`` or
-  ``grid``) where one exists
+  (eigenbasis cutoff, evaluation grid, quadrature split) or because a flow
+  blows up at its step size -> ``ResolutionError``, which carries a
+  suggestion for a workable setting (``n_max``, ``steps`` or ``grid``) where
+  one exists
 * an integral that does not exist in the algebra -> ``NotExactDerivativeError``
 """
 
@@ -35,17 +36,3 @@ class ResolutionError(HeatKernError, RuntimeError):
     def __init__(self, message: str, suggestion: dict | None = None):
         super().__init__(message)
         self.suggestion = dict(suggestion or {})
-
-
-class FlowDivergenceError(ResolutionError):
-    """Raised when a time integration blows up (NaN/overflow in the state).
-
-    Attributes
-    ----------
-    state
-        Last finite :class:`~heatkern.kdvflow.FlowState` before the blow-up.
-    """
-
-    def __init__(self, message: str, state=None, suggestion: dict | None = None):
-        super().__init__(message, suggestion)
-        self.state = state

@@ -263,10 +263,6 @@ def global_invariant(k: int, Q: PeriodicFunction, grid: int | None = None) -> Gl
     if grid is None:
         grid = dp.fft_grid(dp.min_grid(poly, Q.bandwidth))
     image = dp.commutative_image(poly) if Q.matrix_dim == 1 else dp.cyclic_image(poly)
-    # the trie's child order sets the round-off: in lexicographic order the
-    # cosine invariants stay within 5e-15 up to k = 10, in the image's own
-    # order they do not
-    image = dp._poly(dict(sorted(image._num.items())), image._den)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         value = dp.evaluate(image, Q, grid).trace_integral()
     if not math.isfinite(value):

@@ -37,7 +37,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import diffpoly as dp
-from .errors import FlowDivergenceError, ResolutionError
+from .errors import ResolutionError
 from .heatcoeffs import (
     _refuse_beyond_memory,
     diagonal_coefficient_recursive,
@@ -110,7 +110,6 @@ def trace_pairing(f: PeriodicFunction, g: PeriodicFunction) -> float:
 class FlowState:
     """One recorded snapshot of a hierarchy flow."""
 
-    k: int
     s: float
     Q: PeriodicFunction
     grid: int
@@ -234,8 +233,9 @@ def integrate_flow(k: int, Q0: PeriodicFunction, s_end: float, steps: int, *,
     """Run flow ``k`` from ``Q0`` to ``s_end`` and return recorded snapshots.
 
     ``record`` snapshots (including both endpoints) are sampled evenly in
-    step index.  Blow-up raises :class:`FlowDivergenceError` carrying the
-    last finite snapshot and a suggested larger step count.
+    step index.  Blow-up raises :class:`ResolutionError` with a suggested
+    larger step count, ``{"steps": 4 * steps}``, while that stays under the
+    2**53 cap.
     """
     if k < 1:
         raise ValueError("flow index must be >= 1")
@@ -258,7 +258,7 @@ def integrate_flow(k: int, Q0: PeriodicFunction, s_end: float, steps: int, *,
 
     def snapshot(i: int, spec: np.ndarray) -> FlowState:
         Q = PeriodicFunction.from_samples(np.fft.irfft(spec, grid), Q0.a)
-        return FlowState(k=k, s=dt * i, Q=Q, grid=grid, dt=dt)
+        return FlowState(s=dt * i, Q=Q, grid=grid, dt=dt)
 
     if not np.any(nonlinear(u)) and not np.any(u[lin != 0]):
         # a fixed point: every RK4 stage returns u as it is, so skip the steps
@@ -276,11 +276,11 @@ def integrate_flow(k: int, Q0: PeriodicFunction, s_end: float, steps: int, *,
             u = full_u + sixth_dt * (full * k1 + twice_half * (k2 + k3) + k4)
             if not np.all(np.isfinite(u)):
                 fits = 4 * steps <= 2 ** 53
-                raise FlowDivergenceError(
+                raise ResolutionError(
                     f"flow {k} blew up near s = {dt * i:.6g} (dt = {dt:.3g}); "
                     "the step exceeds the stability envelope"
                     + ("" if fits else ", and no step count under the 2**53 cap helps"),
-                    state=trajectory[-1], suggestion={"steps": 4 * steps} if fits else None)
+                    suggestion={"steps": 4 * steps} if fits else None)
             if i in record_at:
                 trajectory.append(snapshot(i, u))
     return trajectory
@@ -295,7 +295,6 @@ def integrate_flow(k: int, Q0: PeriodicFunction, s_end: float, steps: int, *,
 class ConservationReport:
     """Invariant time series along a trajectory and their relative drifts."""
 
-    flow_k: int
     grid: int
     dt: float
     s: np.ndarray
@@ -342,6 +341,6 @@ def conservation_report(trajectory: list[FlowState],
     drifts = {name: float(np.max(np.abs(vals - vals[0])) / max(abs(vals[0]), 1e-9))
               for name, vals in series.items()}
     first = trajectory[0]
-    return ConservationReport(flow_k=first.k, grid=first.grid, dt=first.dt,
+    return ConservationReport(grid=first.grid, dt=first.dt,
                               s=np.array([state.s for state in trajectory]),
                               series=series, drifts=drifts)

@@ -694,15 +694,23 @@ def eigenvalues_hp(problem: SpectralProblem, n_max: int):
 def heat_trace_hp(values, t):
     """High-precision Theta(t) over the sorted spectrum ``values`` of one
     :func:`eigenvalues_hp` run, reusable across many t; same refusal rule
-    as the float64 path."""
+    as the float64 path.
+
+    A refusal suggests the ``n_max`` whose top eigenvalue reaches the floor.
+    The top is ``(n_max/a)^2 + q_0`` up to the truncation's edge, and the
+    trace fixes the mean of the values at ``n_max (n_max+1) / (3 a^2) + q_0``,
+    so their difference gives both terms; a 2% margin covers the edge."""
     import mpmath as mp
 
     with mp.workdps(HP_DPS):
         tt = mp.mpf(t)
         if tt * values[-1] < EXP_CUT + 15:
             n_max = (len(values) - 1) // 2
+            top = float(values[-1])
+            kinetic = (top - float(mp.fsum(values)) / len(values)) * 3 * n_max / (2 * n_max - 1)
+            reach = ((EXP_CUT + 15) / float(t) - top + kinetic) / kinetic
             raise ResolutionError(
                 f"hp truncation n_max={n_max} too small for t={float(t):g}",
-                suggestion={"n_max": n_max * 2},
+                suggestion={"n_max": math.ceil(1.02 * n_max * math.sqrt(reach)) + 2},
             )
         return mp.fsum(mp.e ** (-tt * v) for v in values)

@@ -32,13 +32,11 @@ class PeriodicFunction:
         if a <= 0:
             raise ValueError("circle radius a must be positive")
         modes = np.asarray(modes, dtype=complex)
-        if modes.ndim == 1:
-            modes = modes[:, None, None]
         if modes.ndim != 3 or modes.shape[1] != modes.shape[2] or modes.shape[0] % 2 != 1:
             raise ValueError("modes must have shape (2B+1, N, N)")
         _require_dim(modes.shape[1])
         # drop exactly-zero outer shells so the stored bandwidth is honest
-        # (arithmetic like f - g routinely cancels the outermost modes)
+        # (a sum such as f + (-1) * g can cancel the outermost modes)
         while modes.shape[0] > 1 and not modes[0].any() and not modes[-1].any():
             modes = modes[1:-1]
         self.a = a
@@ -206,12 +204,6 @@ class PeriodicFunction:
             return NotImplemented
         x, y = self._aligned(other)
         return PeriodicFunction(self.a, x + y, check_hermitian=False)
-
-    def __sub__(self, other):
-        if not isinstance(other, PeriodicFunction):
-            return NotImplemented
-        x, y = self._aligned(other)
-        return PeriodicFunction(self.a, x - y, check_hermitian=False)
 
     def __mul__(self, scalar):
         if isinstance(scalar, PeriodicFunction):

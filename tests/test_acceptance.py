@@ -31,7 +31,7 @@ PINNED_DETAIL = {
 def test_acceptance_criterion(name):
     result = run_check(name)
     status = "PASS" if result.passed else "FAIL"
-    print(f"{status} {result.name} [{result.elapsed:.2f}s]: {result.detail}")
+    print(f"{status} {result.name}: {result.detail}")
     assert result.passed, f"{result.name}: {result.detail}"
     if name in PINNED_DETAIL:
         assert result.detail == PINNED_DETAIL[name]

@@ -362,6 +362,18 @@ def test_evaluate_leaves_no_reference_cycle():
         gc.enable()
 
 
+def test_evaluate_rounding_is_independent_of_term_order():
+    # the trie takes the words in lexicographic order, which rounds the
+    # invariants best, however the polynomial's terms were inserted
+    pairs = sorted((m.word, m.coeff) for m in heatcoeffs.taylor_coefficient(8, 0).terms())
+    ordered, backwards = DiffPoly(dict(pairs)), DiffPoly(dict(reversed(pairs)))
+    assert ordered == backwards and list(ordered._num) != list(backwards._num)
+    Q = _random_potential(np.random.default_rng(5), bandwidth=3)
+    grid = min_grid(ordered, Q.bandwidth)
+    assert np.array_equal(evaluate(ordered, Q, grid).sample(grid),
+                          evaluate(backwards, Q, grid).sample(grid))
+
+
 def test_evaluate_refuses_aliasing_grids():
     Q = PeriodicFunction.from_modes(1.0, {3: 0.5})  # bandwidth 3
     p = make(1, (0, 0, 0))

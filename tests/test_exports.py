@@ -1,6 +1,6 @@
 """Every name a module exports through ``__all__`` exists, every function,
-class and method in ``src/heatkern`` has a caller in the program, and every
-defaulted parameter is set by one."""
+class and method in ``src/heatkern`` has a caller in the program, every
+defaulted parameter is set by one, and every stored field is read."""
 
 import ast
 import importlib
@@ -152,3 +152,43 @@ def test_every_default_is_set_by_a_caller():
                 if not any(_sets(call, param, position, bound) for call in mine):
                     unset.append(f"{path.name}:{qualname}({param}=)")
     assert unset == []
+
+
+# ``b_q`` is the half of ``bq_gamma`` that only the tests read, but
+# ``bench/checks.py`` calls ``bq_gamma(...).gamma``: ROADMAP item 6 deletes it
+# after the benchmark change of item 7.
+WRITE_ONLY_ALLOWED = {"perturb.py:SpectralCorrection.b_q"}
+
+
+def _fields(tree):
+    """``(qualified name, attribute)`` for every dataclass or NamedTuple
+    field and every ``self.<attr>`` that an ``__init__`` sets."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        record = (any(isinstance(base, ast.Name) and base.id == "NamedTuple"
+                      for base in cls.bases)
+                  or any(isinstance(d, ast.Name) and d.id == "dataclass"
+                         or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+                         for d in cls.decorator_list))
+        for stmt in cls.body:
+            if record and isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                yield f"{cls.name}.{stmt.target.id}", stmt.target.id
+            if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__":
+                for node in ast.walk(stmt):
+                    if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                            and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                        yield f"{cls.name}.{node.attr}", node.attr
+
+
+def test_every_field_is_read():
+    """A field the program stores but never loads, outside the tests, is
+    dead weight that every constructor call still pays for."""
+    trees = {path: ast.parse(path.read_text())
+             for folder in (PACKAGE, ROOT / "bench")
+             for path in sorted(folder.rglob("*.py"))}
+    loaded = {node.attr for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{path.name}:{qualname}" for path in sorted(PACKAGE.rglob("*.py"))
+              for qualname, attr in _fields(trees[path]) if attr not in loaded]
+    assert sorted(unread) == sorted(WRITE_ONLY_ALLOWED)

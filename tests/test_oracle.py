@@ -748,5 +748,8 @@ def test_hp_path_restrictions():
 def test_hp_trace_refusal():
     import mpmath as mp
 
-    with pytest.raises(ResolutionError):
-        heat_trace_hp(eigenvalues_hp(cosine_problem(), 12), mp.mpf(1) / 1000)
+    t = mp.mpf(1) / 1000
+    with pytest.raises(ResolutionError) as info:
+        heat_trace_hp(eigenvalues_hp(cosine_problem(), 12), t)
+    # the suggested truncation reaches the floor at the first retry
+    heat_trace_hp(eigenvalues_hp(cosine_problem(), info.value.suggestion["n_max"]), t)
