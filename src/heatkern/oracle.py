@@ -189,6 +189,12 @@ class EigenData:
         vals.setflags(write=False)
         return vals
 
+    @cached_property
+    def eigenvalues_hp(self) -> list:
+        """The sorted spectrum to ``HP_DPS`` digits, one :func:`eigenvalues_hp`
+        solve however many times :func:`heat_trace_hp` reads it."""
+        return eigenvalues_hp(self.problem, self.n_max)
+
     @property
     def lambda_min(self) -> float:
         return float(self.eigenvalues[0])
@@ -216,14 +222,14 @@ def _refusal(problem: SpectralProblem, reason: str, n_max: int) -> ResolutionErr
     return ResolutionError(reason, suggestion={"n_max": n_max})
 
 
-def _truncation_error(eigen: EigenData, reason: str, t: float,
-                      lam: float = 0.0) -> ResolutionError:
-    """Refusal of a truncation whose top misses the e^{-45} floor at heat
-    time t, suggesting the n_max that reaches it where one fits in memory."""
+def _truncation_error(eigen: EigenData, reason: str, level: float) -> ResolutionError:
+    """Refusal of a truncation whose top eigenvalue misses ``level``,
+    suggesting the n_max that reaches it where one fits in memory: the top
+    eigenvalue of a Hermitian matrix is at least its largest diagonal entry,
+    so lambda_max >= (n_max/a)^2 + tr q_0 / N."""
     problem = eigen.problem
-    n_max = (math.ceil(problem.a * math.sqrt(max(EXP_CUT / t + lam, 1.0)))
-             + problem.bandwidth + 2)
-    return _refusal(problem, reason, n_max)
+    reach = problem.a * math.sqrt(max(level - _split_mean(problem)[0], 0.0))
+    return _refusal(problem, reason, max(problem.bandwidth, math.floor(reach) + 1))
 
 
 def heat_trace(eigen: EigenData, t: float) -> float:
@@ -237,7 +243,7 @@ def heat_trace(eigen: EigenData, t: float) -> float:
     if t * eigen.lambda_max < EXP_CUT:
         raise _truncation_error(
             eigen, f"truncation n_max={eigen.n_max} too small for t={t:g}: "
-            f"t*lambda_max={t * eigen.lambda_max:.2f} < {EXP_CUT}", t)
+            f"t*lambda_max={t * eigen.lambda_max:.2f} < {EXP_CUT}", EXP_CUT / t)
     return float(np.sum(np.exp(-t * eigen.eigenvalues)))
 
 
@@ -273,14 +279,15 @@ def _dressed_series(problem: SpectralProblem, lam: float) -> list[float]:
 
 
 def _mellin_split(eigen: EigenData, q: float, lam: float, g: list[float],
-                  t_star: float) -> float:
-    """B_q(lam) split at t_star: the series g integrated termwise on
-    (0, t*] and continued in q, one upper incomplete gamma per computed
-    eigenvalue beyond; at q = k = 0, 1, 2, ... the limit (-1)^k k! g_k."""
+                  t_fit: float, lo: float) -> float:
+    """B_q(lam) split at t* = max(t_fit, lo), t_fit where the series g holds:
+    g integrated termwise on (0, t*] and continued in q, one upper incomplete
+    gamma per computed eigenvalue beyond; at q = k = 0, 1, ... the limit (-1)^k k! g_k."""
     # q <= K - 2 keeps the series part's truncation error, O(t*^(K+1-q)),
     # at least cubic in t*
     if not (math.isfinite(q) and q <= len(g) - 3):
         raise ValueError(f"q={q:g} needs series order > {len(g) - 1}")
+    t_star = max(t_fit, lo)
     mu_all = eigen.eigenvalues - lam
     # split-point consistency: the truncated series must still describe the
     # dressed trace at t*, else the answer would silently lose digits
@@ -291,7 +298,7 @@ def _mellin_split(eigen: EigenData, q: float, lam: float, g: list[float],
         raise _truncation_error(
             eigen, f"series/spectrum mismatch {abs(g_series - g_exact):.3g} at "
             f"t_star={t_star:g}; the split point sits outside the series range",
-            t_star / 2.0, lam)
+            EXP_CUT / t_fit + lam)  # the n_max whose top anchors the tail at t_fit
     if q >= 0 and float(q).is_integer():
         return (-1.0) ** q * math.factorial(int(q)) * g[int(q)]
     small = math.fsum(g_m * t_star ** (m - q) / (m - q) for m, g_m in enumerate(g))
@@ -326,10 +333,10 @@ def b_function(eigen: EigenData, q: float, lam: float) -> float:
     if lo > hi:
         raise _truncation_error(
             eigen, f"truncation top {eigen.lambda_max:.3g} cannot anchor the "
-            f"tail at t_star={hi:g}", hi, lam)
+            f"tail at t_star={hi:g}", EXP_CUT / hi + lam)
     g = _dressed_series(problem, lam)
     t_conv = (1e-16 * abs(g[0]) / abs(g[-1])) ** (1.0 / SERIES_ORDER) if g[-1] else hi
-    return _mellin_split(eigen, q, lam, g, max(lo, min(hi, t_conv)))
+    return _mellin_split(eigen, q, lam, g, min(hi, t_conv), lo)
 
 
 def zeta(eigen: EigenData, s: float, lam: float) -> float:
@@ -691,26 +698,17 @@ def eigenvalues_hp(problem: SpectralProblem, n_max: int):
     return sorted(out)
 
 
-def heat_trace_hp(values, t):
-    """High-precision Theta(t) over the sorted spectrum ``values`` of one
-    :func:`eigenvalues_hp` run, reusable across many t; same refusal rule
-    as the float64 path.
-
-    A refusal suggests the ``n_max`` whose top eigenvalue reaches the floor.
-    The top is ``(n_max/a)^2 + q_0`` up to the truncation's edge, and the
-    trace fixes the mean of the values at ``n_max (n_max+1) / (3 a^2) + q_0``,
-    so their difference gives both terms; a 2% margin covers the edge."""
+def heat_trace_hp(eigen: EigenData, t):
+    """High-precision Theta(t) over ``eigen.eigenvalues_hp``, solved once
+    and reused across many t; refused as the float64 path is, with the
+    floor at ``EXP_CUT + 15``."""
     import mpmath as mp
 
+    values = eigen.eigenvalues_hp
     with mp.workdps(HP_DPS):
         tt = mp.mpf(t)
         if tt * values[-1] < EXP_CUT + 15:
-            n_max = (len(values) - 1) // 2
-            top = float(values[-1])
-            kinetic = (top - float(mp.fsum(values)) / len(values)) * 3 * n_max / (2 * n_max - 1)
-            reach = ((EXP_CUT + 15) / float(t) - top + kinetic) / kinetic
-            raise ResolutionError(
-                f"hp truncation n_max={n_max} too small for t={float(t):g}",
-                suggestion={"n_max": math.ceil(1.02 * n_max * math.sqrt(reach)) + 2},
-            )
+            raise _truncation_error(
+                eigen, f"hp truncation n_max={eigen.n_max} too small for t={float(t):g}",
+                (EXP_CUT + 15) / float(t))
         return mp.fsum(mp.e ** (-tt * v) for v in values)

@@ -35,3 +35,15 @@ def test_acceptance_criterion(name):
     assert result.passed, f"{result.name}: {result.detail}"
     if name in PINNED_DETAIL:
         assert result.detail == PINNED_DETAIL[name]
+
+
+def test_small_t_asymptotics_solves_its_hp_spectrum_once(monkeypatch):
+    # its nine heat times read one 50-digit spectrum cached on the truncation
+    import heatkern.oracle as oracle
+
+    calls = []
+    solve = oracle.eigenvalues_hp
+    monkeypatch.setattr(oracle, "eigenvalues_hp",
+                        lambda *args: calls.append(args) or solve(*args))
+    assert run_check("small-t-asymptotics").passed
+    assert len(calls) == 1

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from test_oracle import _JSON_PROBLEMS
 
 from heatkern import cli, perturb
-from heatkern.oracle import floquet_log_det
+from heatkern.oracle import eigendata, floquet_log_det, log_det
 from heatkern.specfun import integrate_unit_interval
 
 
@@ -359,7 +359,7 @@ def test_reachable_truncation_suggests_n_max(capsys):
     code, out, err = run_cli(["zeta", "--s-grid", "2", "--lam=-1e6"], capsys)
     assert (code, out) == (3, "")
     assert len(err.splitlines()) == 1
-    assert json.loads(err)["suggestion"] == {"n_max": 14969}
+    assert json.loads(err)["suggestion"] == {"n_max": 14967}
     # the Hill determinant needs no such truncation: 2 log(2 sinh 1000 pi)
     code, out, err = run_cli(["det", "--lam-grid=-1e6"], capsys)
     assert (code, err) == (0, "")
@@ -404,6 +404,21 @@ def test_det_at_or_above_lambda_1_is_config_error(tmp_path, capsys):
         assert len(err.splitlines()) == 1
         payload = json.loads(err)
         assert payload["error"] == "config" and "not below the spectrum" in payload["reason"]
+
+
+def test_det_at_or_above_zero_is_config_error(capsys):
+    # the Weyl and gamma columns need lam < 0, even where log Det answers:
+    # 2 log(2 sinh(pi sqrt 0.5)) for Q = 1 at lam = 0.5
+    problem = cli.load_problem("constant_a1_N1.json")
+    value = log_det(eigendata(problem, 64), 0.5)
+    assert abs(value - 2.0 * math.log(2.0 * math.sinh(math.pi * math.sqrt(0.5)))) <= 1e-14
+    for lam in ("0", "0.5"):
+        code, out, err = run_cli(["det", "--problem", "constant_a1_N1.json",
+                                  f"--lam-grid={lam}"], capsys)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {"error": "config", "exit": 2,
+                                   "reason": "spectral forms need lam < 0"}
 
 
 def test_det_runs_no_eigensolve_and_no_invariants(tmp_path, capsys, monkeypatch):

@@ -148,14 +148,35 @@ def test_omega_free_value():
     assert abs(omega(e, tau) - 2.0 * math.pi * theta(tau)) < 1e-12
 
 
-def test_heat_trace_refusal_and_suggestion():
-    prob = cosine_problem()
-    e = eigendata(prob, 16)
+def shifted_cosines():
+    """The constant 7, cos x, -1000 + cos x, 100 + cos x and 3 cos(x/2) at
+    a = 2: a diagonal truncation, whose top meets the bound exactly, means
+    far from 0 either way, and an amplitude comparable to (n_max/a)^2 at 4."""
+    return [SpectralProblem(PeriodicFunction.from_modes(a, {0: c, 1: amp / 2.0}))
+            for c, amp, a in ((7.0, 0.0, 1.0), (0.0, 1.0, 1.0), (-1000.0, 1.0, 1.0),
+                              (100.0, 1.0, 1.0), (0.0, 3.0, 2.0))]
+
+
+def follow_one_suggestion(trace, floor, prob, n_max, t):
+    """``trace(eigendata(prob, n_max), t)`` is refused exactly when
+    t * lambda_max misses ``floor``, and then succeeds at the n_max its
+    refusal suggests."""
+    e = eigendata(prob, n_max)
+    if float(t) * e.lambda_max >= floor:
+        trace(e, t)
+        return
     with pytest.raises(ResolutionError) as err:
-        heat_trace(e, 1e-3)
+        trace(e, t)
     n_better = err.value.suggestion["n_max"]
-    assert n_better > 16
-    heat_trace(eigendata(prob, n_better), 1e-3)  # suggestion is sufficient
+    assert n_better > n_max
+    trace(eigendata(prob, n_better), t)
+
+
+def test_heat_trace_refusal_and_suggestion():
+    for prob in shifted_cosines() + [random_problem(5, 2, 1)]:
+        for n_max in (4, 12):
+            for t in (0.5, 0.01, 1e-3):
+                follow_one_suggestion(heat_trace, EXP_CUT, prob, n_max, t)
 
 
 def test_heat_trace_rejects_bad_time():
@@ -313,7 +334,7 @@ def test_split_point_independence():
     for q in (0.5, -0.7):
         chosen = b_function(e, q, -2.0)
         for t_star in (0.1, 0.05, 0.025):
-            assert abs(_mellin_split(e, q, -2.0, g, t_star) - chosen) <= 1e-8
+            assert abs(_mellin_split(e, q, -2.0, g, t_star, 0.0) - chosen) <= 1e-8
 
 
 def test_split_mismatch_refusal_suggests_n_max():
@@ -322,8 +343,14 @@ def test_split_mismatch_refusal_suggests_n_max():
     prob = cosine_problem()
     e = eigendata(prob, 64)
     with pytest.raises(ResolutionError, match="mismatch") as err:
-        _mellin_split(e, 0.5, -2.0, _dressed_series(prob, -2.0), 2.0)
+        _mellin_split(e, 0.5, -2.0, _dressed_series(prob, -2.0), 2.0, 0.0)
     assert list(err.value.suggestion) == ["n_max"]
+    # through zeta the suggestion anchors the tail where the series holds,
+    # so the first retry succeeds (100 + cos x at lam = -1: 12 -> 348)
+    shifted = SpectralProblem(PeriodicFunction.from_modes(1.0, {0: 100.0, 1: 0.5}))
+    with pytest.raises(ResolutionError, match="mismatch") as err:
+        zeta(eigendata(shifted, 12), 2.0, -1.0)
+    zeta(eigendata(shifted, err.value.suggestion["n_max"]), 2.0, -1.0)
 
 
 def _laguerre_tail(mu, t_star, q, nodes=256):
@@ -646,10 +673,9 @@ def test_hp_trace_agrees_with_float64():
     import mpmath as mp
 
     prob = cosine_problem()
-    vals = eigenvalues_hp(prob, 48)
     e = eigendata(prob, 48)
     t = 0.05
-    hp = heat_trace_hp(vals, mp.mpf(t))
+    hp = heat_trace_hp(e, mp.mpf(t))
     assert abs(float(hp) - heat_trace(e, t)) <= 1e-11
 
 
@@ -748,8 +774,7 @@ def test_hp_path_restrictions():
 def test_hp_trace_refusal():
     import mpmath as mp
 
-    t = mp.mpf(1) / 1000
-    with pytest.raises(ResolutionError) as info:
-        heat_trace_hp(eigenvalues_hp(cosine_problem(), 12), t)
-    # the suggested truncation reaches the floor at the first retry
-    heat_trace_hp(eigenvalues_hp(cosine_problem(), info.value.suggestion["n_max"]), t)
+    for prob in shifted_cosines():
+        for n_max in (4, 12):
+            for t in (mp.mpf(1) / 2, mp.mpf(1) / 100):
+                follow_one_suggestion(heat_trace_hp, EXP_CUT + 15, prob, n_max, t)
