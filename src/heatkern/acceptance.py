@@ -16,7 +16,6 @@ pass; the README's "Known red check" section carries the analysis.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -70,7 +69,10 @@ def exact_cosine_invariant(k: int) -> Fraction:
     """``A_k / (2 pi)`` for ``Q = cos x``, ``a = 1``, in exact arithmetic.
 
     Writing ``cos^(d)(x) = (1/2) sum_{s=+-1} (s i)^d e^{isx}``, the zero mode
-    of a word ``(d_1 .. d_m)`` is a sum over balanced sign vectors; the
+    of a word ``(d_1 .. d_m)`` is a sum over balanced sign vectors, which
+    put ``m/2`` minus signs on the letters; each of the ``p`` that falls on
+    an odd letter flips the sign.  With ``o`` odd letters that sum is
+    ``sum_p (-1)^p C(o, p) C(m - o, m/2 - p)`` (zero for odd ``m``), and the
     phase ``i^(d_1+..+d_m)`` collapses to ``(-1)^(k-m)`` because each word of
     ``[a_k]`` has total derivative order ``2k - 2m``.  The sum depends only
     on each word's multiset of letters, so it runs over the commutative
@@ -79,19 +81,12 @@ def exact_cosine_invariant(k: int) -> Fraction:
     """
     total = Fraction(0)
     for mono in commutative_image(taylor_coefficient(k, 0)).terms():
-        word = mono.word
-        m = len(word)
-        if m == 0:
-            total += mono.coeff
-            continue
+        m = len(mono.word)
         if m % 2:
             continue
-        acc = 0
-        for signs in itertools.product((1, -1), repeat=m):
-            if sum(signs) != 0:
-                continue
-            flips = sum(1 for d, s in zip(word, signs) if d % 2 and s < 0)
-            acc += -1 if flips % 2 else 1
+        odd = sum(d % 2 for d in mono.word)
+        acc = sum((-1) ** p * math.comb(odd, p) * math.comb(m - odd, m // 2 - p)
+                  for p in range(min(odd, m // 2) + 1))
         total += mono.coeff * Fraction(acc * (-1) ** (k - m), 2 ** m)
     return total
 

@@ -51,6 +51,7 @@ from .kdvflow import (
     conservation_report,
     gradient_rescale,
     integrate_flow,
+    invariant_orders,
     invariant_rescale,
     suggested_steps,
 )
@@ -293,16 +294,16 @@ def _cmd_coeffs(args: argparse.Namespace) -> int:
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
     problem = load_problem(args.problem)
-    values = [global_invariant(k, problem.Q) for k in _orders(args)]
+    values = [(k, global_invariant(k, problem.Q)) for k in _orders(args)]
     if args.format == "json":
         text = json.dumps(
-            [{"k": g.k, "value": g.value, "grid": g.grid} for g in values],
+            [{"k": k, "value": g.value, "grid": g.grid} for k, g in values],
             indent=1, sort_keys=True) + "\n"
     elif args.k is not None:
-        text = _fmt(values[0].value) + "\n"
+        text = _fmt(values[0][1].value) + "\n"
     else:
         text = "k,A_k,grid\n" + "".join(
-            f"{g.k},{_fmt(g.value)},{g.grid}\n" for g in values)
+            f"{k},{_fmt(g.value)},{g.grid}\n" for k, g in values)
     _emit(args, text)
     return 0
 
@@ -341,24 +342,25 @@ def _cmd_zeta(args: argparse.Namespace) -> int:
 
 def _cmd_kdv(args: argparse.Namespace) -> int:
     problem = load_problem(args.problem)
+    names = list(args.invariants)
+    invariant_orders(names)  # a bad name is refused before the flow runs
     steps = args.steps
     if steps is None:
         steps = suggested_steps(args.flow, problem.Q, args.s_end, args.grid)
     trajectory = integrate_flow(args.flow, problem.Q, args.s_end, steps,
                                 grid=args.grid, record=args.record)
-    names = list(args.invariants)
     report = conservation_report(trajectory, names)
     meta = (
         ("flow_k", str(args.flow)),
-        ("grid", str(report.grid)),
+        ("grid", str(args.grid)),
         ("steps", str(steps)),
-        ("dt", _fmt(report.dt)),
+        ("dt", _fmt(args.s_end / steps)),
         ("gradient_rescale", str(gradient_rescale(args.flow))),
         ("invariant_rescale", str(invariant_rescale(args.flow))),
     )
     if args.format == "json":
         obj = {key: value for key, value in meta}
-        obj["s"] = [float(s) for s in report.s]
+        obj["s"] = [state.s for state in trajectory]
         obj["series"] = {name: [float(v) for v in report.series[name]]
                          for name in names}
         obj["drifts"] = {name: float(report.drifts[name]) for name in names}
@@ -367,9 +369,9 @@ def _cmd_kdv(args: argparse.Namespace) -> int:
     else:
         lines = [f"# {key} = {value}" for key, value in meta]
         lines.append("s," + ",".join(names))
-        for i, s in enumerate(report.s):
+        for i, state in enumerate(trajectory):
             lines.append(",".join(
-                [_fmt(s)] + [_fmt(report.series[name][i]) for name in names]))
+                [_fmt(state.s)] + [_fmt(report.series[name][i]) for name in names]))
         for name in names:
             lines.append(f"# drift {name} = {_fmt(report.drifts[name])}")
         lines.append(f"# max_drift = {_fmt(report.max_drift)}")

@@ -236,7 +236,6 @@ def w_coefficient(k: int) -> DiffPoly:
 class GlobalInvariant:
     """Integrated heat-trace coefficient ``A_k = integral tr [a_k]``."""
 
-    k: int
     value: float
     grid: int
 
@@ -267,4 +266,4 @@ def global_invariant(k: int, Q: PeriodicFunction, grid: int | None = None) -> Gl
         value = dp.evaluate(image, Q, grid).trace_integral()
     if not math.isfinite(value):
         raise FloatingPointError(f"A_{k} of this potential is beyond the float64 range")
-    return GlobalInvariant(k=k, value=value, grid=grid)
+    return GlobalInvariant(value=value, grid=grid)

@@ -55,6 +55,7 @@ __all__ = [
     "trace_pairing",
     "suggested_steps",
     "integrate_flow",
+    "invariant_orders",
     "conservation_report",
 ]
 
@@ -112,8 +113,6 @@ class FlowState:
 
     s: float
     Q: PeriodicFunction
-    grid: int
-    dt: float
 
 
 # Entries (1 MiB of float64) up to which _flow_operator uses dense DFT
@@ -195,8 +194,15 @@ def _flow_operator(k: int, a: float, grid: int):
     return lin, rhs
 
 
-def _check_grid(Q0: PeriodicFunction, grid: int) -> None:
-    """Refuse a grid whose 2/3-rule band cannot hold ``Q0``."""
+def _refuse_flow(k: int, Q0: PeriodicFunction, grid: int) -> None:
+    """The one gate for flow inputs.  It refuses, in this order, a flow
+    index below 1, a matrix potential, a grid below 1 or one whose 2/3-rule
+    band cannot hold ``Q0``, and a flow whose ``[a_k]`` cannot fit in
+    memory (before any polynomial is built)."""
+    if k < 1:
+        raise ValueError("flow index must be >= 1")
+    if Q0.matrix_dim != 1:
+        raise ValueError("flows are scalar-only")
     if grid < 1:
         raise ValueError(f"grid must be >= 1, got {grid}")
     if grid // 3 < Q0.bandwidth:
@@ -204,6 +210,7 @@ def _check_grid(Q0: PeriodicFunction, grid: int) -> None:
         raise ResolutionError(
             f"grid {grid} cannot hold bandwidth {Q0.bandwidth} inside the "
             f"2/3-rule band; need at least {need}", suggestion={"grid": need})
+    _refuse_beyond_memory(k, scalar=True)
 
 
 def suggested_steps(k: int, Q0: PeriodicFunction, s_end: float, grid: int = 256) -> int:
@@ -215,12 +222,11 @@ def suggested_steps(k: int, Q0: PeriodicFunction, s_end: float, grid: int = 256)
     the step is held below a 0.15 phase-per-step envelope -- measured, not
     the textbook RK4 bound: with the integrating factor the remainder term
     turns weakly unstable near the dealiasing cutoff well before the plain
-    CFL limit would bite.  A flow whose ``[a_k]`` cannot fit in physical
-    memory is refused with ``ValueError`` first, before the estimate grows
-    beyond any workable step count.
+    CFL limit would bite.  The inputs pass the flow gate first, so a flow
+    whose ``[a_k]`` cannot fit in physical memory is refused before the
+    estimate grows beyond any workable step count.
     """
-    _check_grid(Q0, grid)
-    _refuse_beyond_memory(k, scalar=True)
+    _refuse_flow(k, Q0, grid)
     if k == 1:
         return 64  # the transport flow is handled exactly by the phase factors
     amp = 2.0 * max(1.0, float(np.max(np.abs(Q0.sample_scalar(max(64, grid))))))
@@ -237,15 +243,11 @@ def integrate_flow(k: int, Q0: PeriodicFunction, s_end: float, steps: int, *,
     larger step count, ``{"steps": 4 * steps}``, while that stays under the
     2**53 cap.
     """
-    if k < 1:
-        raise ValueError("flow index must be >= 1")
-    if Q0.matrix_dim != 1:
-        raise ValueError("flows are scalar-only")
+    _refuse_flow(k, Q0, grid)
     if not (math.isfinite(s_end) and s_end > 0.0):
         raise ValueError("s_end must be positive and finite")
     if not 1 <= steps <= 2 ** 53:  # beyond 2**53, i and dt * i are not exact
         raise ValueError(f"steps must be between 1 and 2**53, got {steps}")
-    _check_grid(Q0, grid)
 
     lin, nonlinear = _flow_operator(k, Q0.a, grid)
     u = np.fft.rfft(Q0.sample_scalar(grid))[:lin.size]
@@ -258,7 +260,7 @@ def integrate_flow(k: int, Q0: PeriodicFunction, s_end: float, steps: int, *,
 
     def snapshot(i: int, spec: np.ndarray) -> FlowState:
         Q = PeriodicFunction.from_samples(np.fft.irfft(spec, grid), Q0.a)
-        return FlowState(s=dt * i, Q=Q, grid=grid, dt=dt)
+        return FlowState(s=dt * i, Q=Q)
 
     if not np.any(u[1:]):
         # a constant is a fixed point: its flux is constant and D kills it,
@@ -296,9 +298,6 @@ def integrate_flow(k: int, Q0: PeriodicFunction, s_end: float, steps: int, *,
 class ConservationReport:
     """Invariant time series along a trajectory and their relative drifts."""
 
-    grid: int
-    dt: float
-    s: np.ndarray
     series: dict[str, np.ndarray]
     drifts: dict[str, float]
 
@@ -310,38 +309,40 @@ class ConservationReport:
 _INVARIANT_NAME = re.compile(r"^([AI])([0-9]+)$")
 
 
-def conservation_report(trajectory: list[FlowState],
-                        invariants: list[str]) -> ConservationReport:
-    """Evaluate named invariants (``"A2"``, ``"I3"``, ...) along a trajectory.
-
-    Drift is ``max_s |v(s) - v(0)|`` relative to ``max(|v(0)|, 1e-9)``; an
-    invariant that is exactly conserved reports exactly 0.
+def invariant_orders(names: list[str]) -> dict[str, tuple[int, float]]:
+    """Resolve invariant names (``"A2"``, ``"I3"``, ...) to ``(j, c)``: the
+    named invariant is ``c * A_j``.  Each name is refused with
+    ``ValueError``, in order and before anything is evaluated, when it is
+    not ``A<k>`` or ``I<k>``, when it is ``I0``, or when ``[a_j]`` cannot
+    fit in physical memory.
     """
-    if not trajectory:
-        raise ValueError("empty trajectory")
-    a_series: dict[int, np.ndarray] = {}
-
-    def a_values(idx: int) -> np.ndarray:
-        if idx not in a_series:
-            a_series[idx] = np.array(
-                [global_invariant(idx, state.Q).value for state in trajectory])
-        return a_series[idx]
-
-    series: dict[str, np.ndarray] = {}
-    for name in invariants:
+    orders: dict[str, tuple[int, float]] = {}
+    for name in names:
         m = _INVARIANT_NAME.match(name)
         if not m:
             raise ValueError(f"unknown invariant name {name!r}; use 'A<k>' or 'I<k>'")
         kind, idx = m.group(1), int(m.group(2))
-        if kind == "A":
-            series[name] = a_values(idx)
-        else:
-            if idx < 1:
-                raise ValueError("rescaled invariants start at I1")
-            series[name] = float(invariant_rescale(idx)) * a_values(idx + 1)
+        if kind == "I" and idx < 1:
+            raise ValueError("rescaled invariants start at I1")
+        orders[name] = (idx, 1.0) if kind == "A" else (idx + 1, float(invariant_rescale(idx)))
+        _refuse_beyond_memory(orders[name][0], scalar=False)
+    return orders
+
+
+def conservation_report(trajectory: list[FlowState],
+                        invariants: list[str]) -> ConservationReport:
+    """Evaluate named invariants (``"A2"``, ``"I3"``, ...) along a trajectory.
+
+    The names are resolved by :func:`invariant_orders` first.  Drift is
+    ``max_s |v(s) - v(0)|`` relative to ``max(|v(0)|, 1e-9)``; an invariant
+    that is exactly conserved reports exactly 0.
+    """
+    if not trajectory:
+        raise ValueError("empty trajectory")
+    orders = invariant_orders(invariants)
+    a_series = {j: np.array([global_invariant(j, state.Q).value for state in trajectory])
+                for j in {j for j, _ in orders.values()}}
+    series = {name: scale * a_series[j] for name, (j, scale) in orders.items()}
     drifts = {name: float(np.max(np.abs(vals - vals[0])) / max(abs(vals[0]), 1e-9))
               for name, vals in series.items()}
-    first = trajectory[0]
-    return ConservationReport(grid=first.grid, dt=first.dt,
-                              s=np.array([state.s for state in trajectory]),
-                              series=series, drifts=drifts)
+    return ConservationReport(series=series, drifts=drifts)

@@ -146,14 +146,13 @@ def assemble(problem: SpectralProblem, n_max: int) -> np.ndarray:
     Block (n, m) is (n/a)^2 delta_{nm} + q_{n-m}, with mode n at block
     position 2|n| - [n > 0], so the diagonal ascends and the band height is
     kd = (2B+1)N - 1.  Refuses n_max below the potential bandwidth, where
-    the matrix would silently drop couplings.
+    the matrix would silently drop couplings, suggesting the bandwidth
+    where its band fits in memory.
     """
     bw = problem.bandwidth
     if n_max < bw:
-        raise ResolutionError(
-            f"n_max={n_max} cannot represent a bandwidth-{bw} potential",
-            suggestion={"n_max": bw},
-        )
+        raise _refusal(problem, f"n_max={n_max} cannot represent a bandwidth-{bw} "
+                       "potential", bw, goal="represent it")
     N = problem.dim
     ab = np.zeros(((2 * bw + 1) * N, (2 * n_max + 1) * N), dtype=complex)
     ns = (np.arange(2 * n_max + 1) + 1) // 2          # |n| at each block
@@ -215,10 +214,11 @@ def _fits_in_memory(problem: SpectralProblem, n_max: int) -> bool:
     return 16 * entries <= os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _refusal(problem: SpectralProblem, reason: str, n_max: int) -> ResolutionError:
+def _refusal(problem: SpectralProblem, reason: str, n_max: int, *,
+             goal: str = "anchor the tail") -> ResolutionError:
     """Refusal suggesting ``n_max``, or none where it does not fit in memory."""
     if not _fits_in_memory(problem, n_max):
-        return ResolutionError(f"{reason}; no n_max that fits in memory can anchor the tail")
+        return ResolutionError(f"{reason}; no n_max that fits in memory can {goal}")
     return ResolutionError(reason, suggestion={"n_max": n_max})
 
 

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line front end: exit codes, bytes, errors."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from test_oracle import _JSON_PROBLEMS
 
-from heatkern import cli, perturb
+from heatkern import cli, kdvflow, perturb
 from heatkern.oracle import eigendata, floquet_log_det, log_det
 from heatkern.specfun import integrate_unit_interval
 
@@ -383,6 +384,29 @@ def test_unreachable_truncation_suggests_nothing(capsys, args):
     assert payload["reason"].endswith("; no n_max that fits in memory can anchor the tail")
 
 
+@pytest.mark.parametrize("args", [
+    ["trace", "--t-grid", "1"],
+    ["det", "--lam-grid=-1"],
+    ["zeta", "--s-grid", "2"],
+], ids=["trace", "det", "zeta"])
+def test_bandwidth_refusal_suggests_only_a_band_that_fits(tmp_path, capsys, args):
+    # n_max must reach the bandwidth; at bandwidth 30000 that band is
+    # 60001 x 60001 complex entries, some 57.6 GB, so nothing is suggested
+    far = write_problem(tmp_path, "far.json", {"a": 1.0, "N": 1, "modes": [
+        {"n": 30000, "matrix": [[[0.1, 0.0]]]}]})
+    code, out, err = run_cli(args + ["--problem", far, "--n-max", "64"], capsys)
+    assert (code, out) == (3, "") and len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "resolution" and "suggestion" not in payload
+    assert payload["reason"] == ("n_max=64 cannot represent a bandwidth-30000 potential; "
+                                 "no n_max that fits in memory can represent it")
+    near = write_problem(tmp_path, "near.json", {"a": 1.0, "N": 1, "modes": [
+        {"n": 5, "matrix": [[[0.1, 0.0]]]}]})
+    code, out, err = run_cli(args + ["--problem", near, "--n-max", "2"], capsys)
+    assert (code, out) == (3, "")
+    assert json.loads(err)["suggestion"] == {"n_max": 5}
+
+
 def test_det_far_below_the_spectrum_is_the_free_closed_form(capsys):
     # sigma = 1e300: K vanishes in float64 and log(2 sinh x) = x + log1p(...)
     # stays finite, so log Det equals its Weyl part
@@ -542,16 +566,50 @@ def test_kdv_aliasing_exit3_with_required(tmp_path, capsys):
     assert payload["suggestion"] == {"grid": 10}
 
 
-def test_kdv_grid_refusal_with_or_without_steps(tmp_path, capsys):
-    # the step heuristic samples Q0 only after the same 2/3-rule check
-    wide = {"a": 1.0, "N": 1, "modes": [{"n": 40, "matrix": [[[0.2, 0.0]]]}]}
-    path = write_problem(tmp_path, "wide40.json", wide)
-    results = [run_cli(["kdv", "--problem", path, "--flow", "2", "--grid", "70"]
-                       + steps, capsys) for steps in (["--steps", "100"], [])]
+MATRIX_BW3 = {"a": 1.0, "N": 2, "modes": [
+    {"n": 3, "matrix": [[[0.1, 0.0], [0.05, 0.0]], [[0.0, 0.0], [0.1, 0.0]]]}]}
+WIDE40 = {"a": 1.0, "N": 1, "modes": [{"n": 40, "matrix": [[[0.2, 0.0]]]}]}
+
+
+@pytest.mark.parametrize("problem, extra, code, reason", [
+    (MATRIX_BW3, [], 2, "flows are scalar-only"),
+    (MATRIX_BW3, ["--grid", "8"], 2, "flows are scalar-only"),
+    (WIDE40, ["--grid", "70"], 3, "grid 70 cannot hold bandwidth 40 inside the "
+                                  "2/3-rule band; need at least 120"),
+    (COSINE, ["--flow", "40"], 2, "[a_40] cannot be built in memory"),
+    (COSINE, ["--invariants", "B2"], 2, "unknown invariant name 'B2'"),
+    (COSINE, ["--invariants", "I0"], 2, "rescaled invariants start at I1"),
+    (COSINE, ["--invariants", "A40"], 2, "[a_40] cannot be built in memory"),
+], ids=["matrix", "matrix-grid8", "grid", "flow40", "B2", "I0", "A40"])
+def test_kdv_refusal_with_or_without_steps(tmp_path, capsys, monkeypatch,
+                                           problem, extra, code, reason):
+    # one gate refuses every flow input, and every invariant name is
+    # resolved, before the step heuristic or the first RK4 step runs
+    def no_steps(*args):
+        raise AssertionError("the flow was integrated")
+
+    monkeypatch.setattr(kdvflow, "_flow_operator", no_steps)
+    path = write_problem(tmp_path, "problem.json", problem)
+    results = [run_cli(["kdv", "--problem", path, "--flow", "2"] + extra + steps,
+                       capsys) for steps in (["--steps", "100"], [])]
     assert results[0] == results[1]
-    code, out, err = results[0]
-    assert (code, out) == (3, "") and len(err.splitlines()) == 1
-    assert json.loads(err)["suggestion"] == {"grid": 120}
+    got, out, err = results[0]
+    assert (got, out) == (code, "") and len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["reason"].startswith(reason)
+    assert payload.get("suggestion") == ({"grid": 120} if code == 3 else None)
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("csv", "1b28fd95099e8ee4ee5cd1c36363821d7098e89d4e895619acc90cb3a0913e93"),
+    ("json", "c87ce242d1cf70acbcab5ace8e7ce13c64cd841f454538a3c3812177d7c21348"),
+], ids=["csv", "json"])
+def test_kdv_cosine_flow2_bytes(tmp_path, capsys, fmt, digest):
+    path = write_problem(tmp_path, "cosine.json", COSINE)
+    code, out, err = run_cli(["kdv", "--problem", path, "--flow", "2", "--s-end", "0.1",
+                              "--grid", "64", "--format", fmt], capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_kdv_divergence_beyond_the_step_cap_suggests_nothing(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Symbolic heat-expansion coefficients: frozen low orders, recursions, invariants."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -371,3 +372,30 @@ def test_cosine_invariants_match_exact_values():
         exact = 2 * math.pi * float(exact_cosine_invariant(k))
         # A_1 = 0 exactly; every other A_k of cos x is above 1
         assert abs(global_invariant(k, Qc).value - exact) <= 5e-15 * max(abs(exact), 1.0), k
+
+
+def _cosine_invariant_by_sign_walk(k):
+    """``exact_cosine_invariant`` summed over all 2^m sign vectors of each
+    word: the reference for its closed-form count."""
+    total = Fraction(0)
+    for mono in commutative_image(taylor_coefficient(k, 0)).terms():
+        word = mono.word
+        m = len(word)
+        if m == 0:
+            total += mono.coeff
+            continue
+        if m % 2:
+            continue
+        acc = 0
+        for signs in itertools.product((1, -1), repeat=m):
+            if sum(signs) != 0:
+                continue
+            flips = sum(1 for d, s in zip(word, signs) if d % 2 and s < 0)
+            acc += -1 if flips % 2 else 1
+        total += mono.coeff * Fraction(acc * (-1) ** (k - m), 2 ** m)
+    return total
+
+
+def test_cosine_invariant_closed_form_matches_sign_walk():
+    for k in range(13):
+        assert exact_cosine_invariant(k) == _cosine_invariant_by_sign_walk(k), k
