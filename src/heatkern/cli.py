@@ -412,7 +412,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # a problem size or cutoff too large to allocate
         return _fail(2, "config", f"{args.command} needs more memory than is "
                                   f"available: {exc}")
-    except ArithmeticError as exc:  # float64 overflow, Newton or period map
+    except ArithmeticError as exc:  # float64 overflow or a Newton refinement
         return _fail(3, "resolution", f"{args.command} left the float64 range "
                                       f"or did not converge: {exc}")
 

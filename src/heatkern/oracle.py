@@ -18,11 +18,12 @@ first use, so everything downstream takes the truncation alone:
 * ``log_det(eigen, lam)`` -- the Hill determinant: the free determinant in
   closed form times one banded Cholesky of the rescaled Galerkin band, plus
   the second-order tail in closed form; it needs no eigenvalues and no
-  invariants.
+  invariants.  ``relative_log_det(eigen, lam)`` is the same sum without the
+  free determinant.
 
-``floquet_log_det`` is an entirely independent determinant route for any
-bundle dimension (det(I - M) of the 2N x 2N period map M, by multiple
-shooting) used to cross-check the other two.
+``floquet_log_det``, an independent determinant route for any bundle
+dimension (det(I - M) of the 2N x 2N period map M, by multiple shooting),
+is called only by the tests and by the benchmark's ``det_scalar`` reference.
 
 Conventions: potential modes q_n with q_{-n} = q_n^dagger, free eigenvalue
 of mode n is (n/a)^2, eigenvalues are reported sorted ascending.
@@ -421,8 +422,9 @@ def _third_order_estimate(problem: SpectralProblem, n_max: int, sigma: float) ->
     return problem.dim * width * width * width * cubes
 
 
-def log_det(eigen: EigenData, lam: float) -> float:
-    """log Det(L - lam) as a Hill determinant, with no eigensolve.
+def _hill_log_det(eigen: EigenData, lam: float) -> tuple[float, float]:
+    """log Det(L - lam) as a Hill determinant, with no eigensolve, and its
+    relative part log Det(L - lam) - log Det(-D^2 + sigma).
 
     With q_bar = tr q_0 / N, sigma = q_bar - lam, D_n = (n/a)^2 + sigma and
     v_k the modes of V = Q - q_bar,
@@ -487,8 +489,8 @@ def log_det(eigen: EigenData, lam: float) -> float:
         if weight:
             inside = float(recip[k:] @ recip[:recip.size - k])
             t2 -= 0.5 * weight * (_pair_sum(k, a, sigma) - inside)
-    value = (2.0 * N * _log_2sinh(math.pi * a * math.sqrt(sigma))
-             + float(np.sum(np.log1p(pivot_less_one))) + t2)
+    pivots = float(np.sum(np.log1p(pivot_less_one)))
+    value = 2.0 * N * _log_2sinh(math.pi * a * math.sqrt(sigma)) + pivots + t2
     if not math.isfinite(value):
         raise OverflowError(f"log Det(L - lam) at lam={lam:g} is beyond float64")
 
@@ -509,12 +511,23 @@ def log_det(eigen: EigenData, lam: float) -> float:
             else:
                 hi = mid
         raise _refusal(problem, reason, hi)
-    return value
+    return value, pivots + t2
+
+
+def log_det(eigen: EigenData, lam: float) -> float:
+    """log Det(L - lam), the Hill determinant of :func:`_hill_log_det`."""
+    return _hill_log_det(eigen, lam)[0]
+
+
+def relative_log_det(eigen: EigenData, lam: float) -> float:
+    """log Det(L - lam) - log Det(-D^2 + sigma), sigma = q_bar - lam: no free
+    part to cancel.  It equals log_det(Q) - log_det(0) only when q_bar = 0."""
+    return _hill_log_det(eigen, lam)[1]
 
 
 # ------------------------------------------------- independent determinant
 
-FLOQUET_RTOL = 1e-12
+FLOQUET_RTOL = 2.3e-14   # solve_ivp clamps any rtol below 100 eps = 2.22e-14
 
 
 def floquet_log_det(problem: SpectralProblem, lam: float) -> float:
@@ -553,7 +566,7 @@ def floquet_log_det(problem: SpectralProblem, lam: float) -> float:
 
     start = np.tile(np.eye(2 * N, dtype=complex), (panels, 1, 1)).ravel()
     sol = solve_ivp(rhs, (0.0, period / panels), start, method="DOP853",
-                    rtol=FLOQUET_RTOL, atol=1e-14)
+                    rtol=FLOQUET_RTOL, atol=1e-16)
     if not sol.success:
         raise ArithmeticError(f"period-map integration failed: {sol.message}")
     C = np.eye(panels * 2 * N, dtype=complex).reshape(panels, 2 * N, panels, 2 * N)

@@ -5,9 +5,11 @@ Each test prints a PASS/FAIL line with the measured numbers (run pytest with
 
 Known red: ``perturbative-scaling`` demands a cubic error law that a
 zero-mean cosine perturbation cannot produce -- its expansions are even in
-the amplitude, so the leading neglected term is quartic (measured slope
-4.00).  The check asserts the requirement as stated instead of weakening it;
-the analysis lives in the repository notes.
+the amplitude, so the leading neglected term is quartic.  Both halves
+measure slope 4.00: the heat trace against ``omega_exact2``, and the Hill
+determinant's relative part against ``gamma``.  The check asserts the
+requirement as stated instead of weakening it; the analysis lives in the
+repository notes.
 """
 
 import pytest
@@ -47,3 +49,20 @@ def test_small_t_asymptotics_solves_its_hp_spectrum_once(monkeypatch):
                         lambda *args: calls.append(args) or solve(*args))
     assert run_check("small-t-asymptotics").passed
     assert len(calls) == 1
+
+
+def test_perturbative_scaling_needs_no_period_map(monkeypatch):
+    # gamma is measured on the Hill determinant's relative part, so both
+    # halves read the eps^4 law; the period map is never reached
+    import heatkern.oracle as oracle
+
+    def refuse(*args):
+        raise AssertionError("perturbative-scaling called the period map")
+
+    monkeypatch.setattr(oracle, "floquet_log_det", refuse)
+    result = run_check("perturbative-scaling")
+    assert not result.passed
+    assert result.detail == (
+        "error slopes: Omega 4.0002, gamma 4.00 (need 3 +- 0.3 both; "
+        "expansions in 2 eps cos are even in eps, so the true law of both "
+        "is eps^4)")

@@ -1,6 +1,7 @@
 """Every name a module exports through ``__all__`` exists, every function,
 class and method in ``src/heatkern`` has a caller in the program, every
-defaulted parameter is set by one, and every stored field is read."""
+defaulted parameter is set by one, every stored field is read, and the
+period-map determinant stays out of the program's own paths."""
 
 import ast
 import importlib
@@ -192,3 +193,12 @@ def test_every_field_is_read():
     unread = [f"{path.name}:{qualname}" for path in sorted(PACKAGE.rglob("*.py"))
               for qualname, attr in _fields(trees[path]) if attr not in loaded]
     assert sorted(unread) == sorted(WRITE_ONLY_ALLOWED)
+
+
+def test_period_map_is_named_only_by_the_oracle():
+    """``floquet_log_det`` is the independent reference of the tests and the
+    benchmark; no command or check may reach it, so no module but the one
+    that defines it names it."""
+    naming = [path.name for path in sorted(PACKAGE.rglob("*.py"))
+              if path.name != "oracle.py" and "floquet_log_det" in path.read_text()]
+    assert naming == []

@@ -575,7 +575,7 @@ def test_log_det_stays_flat_in_n_max():
 
 def test_tail_estimate_bounds_truncation_error(monkeypatch, tmp_path):
     # with the refusal off, every truncation answers; the estimate stays
-    # above its true error (the period map is good to ~1e-13 relative)
+    # above its true error (the period map is good to ~2e-15 relative)
     monkeypatch.setattr("heatkern.oracle.DET_TAIL_RTOL", math.inf)
     cases = [(cosine_problem(amplitude=amp), (-1.0 - amp, -4.0 * amp))
              for amp in (0.5, 2.0, 10.0)]

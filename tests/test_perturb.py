@@ -13,6 +13,7 @@ from heatkern.oracle import (
     b_function,
     eigendata,
     floquet_log_det,
+    relative_log_det,
     zeta,
 )
 from heatkern.oracle import omega as oracle_omega
@@ -138,15 +139,31 @@ def test_gamma_second_order_coefficient_against_period_map():
     #                              + O(eps^4).
     # gamma carries the same constant without the coth factor, i.e. up to
     # the e^{-2 pi c} boundary correction -- resolvable at c = 2.
+    # Both the period-map difference and the Hill determinant's relative
+    # part measure it.
     c, eps = 2.0, 1e-3
-    measured = (floquet_log_det(two_eps_cosine(eps), -c * c)
-                - floquet_log_det(SpectralProblem.free(1.0), -c * c)) / eps ** 2
     coeff = -2.0 * math.pi / (c * (1.0 + 4.0 * c * c))
     coth = 1.0 / math.tanh(math.pi * c)
-    assert abs(measured - coeff * coth) <= 1e-6 * abs(coeff)
+    for measured in (
+            floquet_log_det(two_eps_cosine(eps), -c * c)
+            - floquet_log_det(SpectralProblem.free(1.0), -c * c),
+            relative_log_det(eigendata(two_eps_cosine(eps), 64), -c * c)):
+        assert abs(measured / eps ** 2 - coeff * coth) <= 1e-6 * abs(coeff)
     # and gamma itself equals coeff * eps^2 for this potential
     g = bq_gamma(two_eps_cosine(eps), 0.5, -c * c).gamma
     assert abs(g - coeff * eps ** 2) <= 1e-12 * abs(coeff * eps ** 2) + 1e-18
+
+
+def test_gamma_instrument_resolves_the_eps4_error():
+    # perturbative-scaling measures the error of gamma on relative_log_det at
+    # n_max 64; its truncation must sit far below that error (measured
+    # 5.4e-18 / 3.4e-19 / 2.1e-20 against 6.7e-15 / 4.2e-16 / 2.6e-17)
+    lam = -900.0
+    for eps in (0.1, 0.05, 0.025):
+        prob = two_eps_cosine(eps)
+        coarse = relative_log_det(eigendata(prob, 64), lam)
+        error = abs(coarse - bq_gamma(prob, 0.5, lam).gamma)
+        assert abs(coarse - relative_log_det(eigendata(prob, 1000), lam)) <= 0.01 * error
 
 
 def test_bq_matches_oracle_for_generic_q():
