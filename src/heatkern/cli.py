@@ -224,13 +224,15 @@ def load_problem(name: str) -> SpectralProblem:
     return SpectralProblem.from_json_obj(obj)
 
 
-def _rows_text(args: argparse.Namespace, columns: tuple[str, ...], rows) -> str:
+def _table(args: argparse.Namespace, header: tuple[str, ...], rows, keys=None) -> str:
+    """Every table's text: CSV is the header line and one line per row
+    (strings as they are, numbers through ``_fmt``); ``--format json`` is one
+    record per row, keyed by ``keys`` (default ``header``)."""
     if args.format == "json":
-        records = [dict(zip(columns, (float(v) for v in row))) for row in rows]
+        records = [dict(zip(keys or header, row)) for row in rows]
         return json.dumps(records, indent=1, sort_keys=True) + "\n"
-    head = ",".join(columns)
-    body = "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
-    return head + "\n" + body
+    return "".join(",".join(v if isinstance(v, str) else _fmt(v) for v in row) + "\n"
+                   for row in (header, *rows))
 
 
 # ---------------------------------------------------------------------------
@@ -281,30 +283,18 @@ def _orders(args: argparse.Namespace) -> list[int]:
 
 def _cmd_coeffs(args: argparse.Namespace) -> int:
     rows = [(k, render_poly(taylor_coefficient(k, 0))) for k in _orders(args)]
-    if args.format == "json":
-        text = json.dumps([{"k": k, "expression": e} for k, e in rows],
-                          indent=1, sort_keys=True) + "\n"
-    elif args.k is not None:
-        text = rows[0][1] + "\n"
-    else:
-        text = "k,expression\n" + "".join(f"{k},{e}\n" for k, e in rows)
-    _emit(args, text)
+    bare = args.k is not None and args.format == "csv"   # one order: its expression
+    _emit(args, rows[0][1] + "\n" if bare else _table(args, ("k", "expression"), rows))
     return 0
 
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
     problem = load_problem(args.problem)
-    values = [(k, global_invariant(k, problem.Q)) for k in _orders(args)]
-    if args.format == "json":
-        text = json.dumps(
-            [{"k": k, "value": g.value, "grid": g.grid} for k, g in values],
-            indent=1, sort_keys=True) + "\n"
-    elif args.k is not None:
-        text = _fmt(values[0][1].value) + "\n"
-    else:
-        text = "k,A_k,grid\n" + "".join(
-            f"{k},{_fmt(g.value)},{g.grid}\n" for k, g in values)
-    _emit(args, text)
+    rows = [(k, g.value, g.grid) for k in _orders(args)
+            for g in [global_invariant(k, problem.Q)]]
+    bare = args.k is not None and args.format == "csv"   # one order: its value
+    _emit(args, _fmt(rows[0][1]) + "\n" if bare else
+          _table(args, ("k", "A_k", "grid"), rows, keys=("k", "value", "grid")))
     return 0
 
 
@@ -312,8 +302,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     problem = load_problem(args.problem)
     eigen = eigendata(problem, args.n_max)
     rows = trace_comparison_rows(problem, eigen, args.t_grid, args.order)
-    columns = ("t", "omega_oracle", "omega_order2", "omega_resummed")
-    _emit(args, _rows_text(args, columns, rows))
+    _emit(args, _table(args, ("t", "omega_oracle", "omega_order2", "omega_resummed"),
+                       rows))
     if args.check_tol is not None:
         worst = max(abs(r[3] - r[1]) / max(abs(r[1]), 1e-300) for r in rows)
         if worst > args.check_tol:
@@ -327,8 +317,7 @@ def _cmd_det(args: argparse.Namespace) -> int:
     problem = load_problem(args.problem)
     eigen = eigendata(problem, args.n_max)
     rows = det_comparison_rows(problem, eigen, args.lam_grid)
-    columns = ("lam", "log_det_oracle", "weyl", "gamma")
-    _emit(args, _rows_text(args, columns, rows))
+    _emit(args, _table(args, ("lam", "log_det_oracle", "weyl", "gamma"), rows))
     return 0
 
 
@@ -336,7 +325,7 @@ def _cmd_zeta(args: argparse.Namespace) -> int:
     problem = load_problem(args.problem)
     eigen = eigendata(problem, args.n_max)
     rows = [(s, zeta(eigen, s, args.lam)) for s in args.s_grid]
-    _emit(args, _rows_text(args, ("s", "zeta"), rows))
+    _emit(args, _table(args, ("s", "zeta"), rows))
     return 0
 
 
@@ -367,15 +356,11 @@ def _cmd_kdv(args: argparse.Namespace) -> int:
         obj["max_drift"] = float(report.max_drift)
         text = json.dumps(obj, indent=1, sort_keys=True) + "\n"
     else:
-        lines = [f"# {key} = {value}" for key, value in meta]
-        lines.append("s," + ",".join(names))
-        for i, state in enumerate(trajectory):
-            lines.append(",".join(
-                [_fmt(state.s)] + [_fmt(report.series[name][i]) for name in names]))
-        for name in names:
-            lines.append(f"# drift {name} = {_fmt(report.drifts[name])}")
-        lines.append(f"# max_drift = {_fmt(report.max_drift)}")
-        text = "\n".join(lines) + "\n"
+        rows = zip([state.s for state in trajectory], *(report.series[n] for n in names))
+        drifts = [f"# drift {name} = {_fmt(report.drifts[name])}\n" for name in names]
+        text = ("".join(f"# {key} = {value}\n" for key, value in meta)
+                + _table(args, ("s", *names), rows) + "".join(drifts)
+                + f"# max_drift = {_fmt(report.max_drift)}\n")
     _emit(args, text)
     return 0
 

@@ -71,8 +71,6 @@ class SpectralProblem:
     Q: PeriodicFunction
 
     def __post_init__(self):
-        if not (self.a > 0.0 and math.isfinite(self.a)):
-            raise ValueError("radius a must be positive and finite")
         # the band solver reads one triangle only: refuse, never symmetrise
         if not self.Q.is_hermitian():
             raise ValueError("potential violates q_{-n} = q_n^dagger")
@@ -597,7 +595,7 @@ def _parity_tridiagonals(problem: SpectralProblem, n_max: int):
     if problem.bandwidth > 1:
         raise ValueError("high-precision path supports bandwidth <= 1 only")
     q0 = complex(problem.Q.mode(0)[0, 0])
-    q1 = complex(problem.Q.mode(1)[0, 0]) if problem.bandwidth >= 1 else 0.0 + 0.0j
+    q1 = complex(problem.Q.mode(1)[0, 0])
     if abs(q0.imag) > 1e-14 or abs(q1.imag) > 1e-14:
         raise ValueError("high-precision path needs a real even potential")
     q0, q1 = q0.real, q1.real
@@ -702,11 +700,8 @@ def eigenvalues_hp(problem: SpectralProblem, n_max: int):
     de, oe, do, oo = _parity_tridiagonals(problem, n_max)
     out = []
     for diag, offsq in ((de, oe), (do, oo)):
-        if len(diag) == 1:
-            seeds = np.array(diag)
-        else:
-            seeds = linalg.eigh_tridiagonal(
-                np.array(diag), np.sqrt(np.array(offsq)), eigvals_only=True)
+        seeds = linalg.eigh_tridiagonal(
+            np.array(diag), np.sqrt(np.array(offsq)), eigvals_only=True)
         out.extend(_newton_refine_tridiagonal(diag, offsq, seeds))
     return sorted(out)
 

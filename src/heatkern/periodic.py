@@ -10,6 +10,8 @@ Hermitian, arbitrary mode data may not).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["PeriodicFunction"]
@@ -29,8 +31,8 @@ class PeriodicFunction:
         """``modes`` has shape ``(2B+1, N, N)`` with index ``j`` holding mode
         ``n = j - B``."""
         a = float(a)
-        if a <= 0:
-            raise ValueError("circle radius a must be positive")
+        if not (a > 0.0 and math.isfinite(a)):
+            raise ValueError(f"circle radius a must be positive and finite, got {a!r}")
         modes = np.asarray(modes, dtype=complex)
         if modes.ndim != 3 or modes.shape[1] != modes.shape[2] or modes.shape[0] % 2 != 1:
             raise ValueError("modes must have shape (2B+1, N, N)")

@@ -172,9 +172,18 @@ def test_non_finite_or_non_integer_problem_data_is_config_error(tmp_path, capsys
     # the adjointness check must not overflow near the float64 limit
     ({"a": 1.0, "N": 1, "modes": [{"n": 0, "matrix": [[[1e308, 1e308]]]}]},
      "violates q_{-n} = q_n^dagger"),
+    # json.loads reads Infinity and NaN as floats
+    ({"a": math.inf, "N": 1, "modes": []},
+     "circle radius a must be positive and finite, got inf"),
+    ({"a": math.nan, "N": 1, "modes": []},
+     "circle radius a must be positive and finite, got nan"),
+    ({"a": 0, "N": 1, "modes": []}, "circle radius a must be positive and finite, got 0.0"),
+    ({"a": 1.0, "N": 1, "modes": [{"n": 1, "matrix": [[[0.5, 0.0]]]},
+                                  {"n": 1, "matrix": [[[0.5, 0.0]]]}]},
+     "mode 1 listed twice"),
 ], ids=["no-n", "modes-object", "matrix-too-flat", "N-zero", "a-beyond-float64",
         "entry-beyond-float64", "a-boolean", "a-string", "entry-boolean",
-        "non-adjoint-near-overflow"])
+        "non-adjoint-near-overflow", "a-infinite", "a-nan", "a-zero", "mode-twice"])
 @pytest.mark.filterwarnings("error")
 def test_malformed_problem_schema_is_config_error(tmp_path, capsys, obj, reason):
     path = write_problem(tmp_path, "bad.json", obj)
@@ -672,6 +681,97 @@ def test_unconverged_quadrature_is_resolution_error(monkeypatch, capsys):
     payload = json.loads(err)
     assert payload["error"] == "resolution"
     assert "did not converge at 4096 nodes" in payload["reason"]
+
+
+# ----------------------------------------------------------------- tables
+
+MATRIX_2X2 = {"a": 1.5, "N": 2, "modes": [
+    {"n": 0, "matrix": [[[0.3, 0.0], [0.1, 0.2]], [[0.1, -0.2], [-0.4, 0.0]]]},
+    {"n": 1, "matrix": [[[0.25, 0.0], [0.05, 0.1]], [[0.0, 0.0], [0.2, 0.0]]]}]}
+
+# every table command; "M22" stands for the file of MATRIX_2X2
+TABLES = {
+    "coeffs": ["coeffs", "--upto", "4"],
+    "coeffs-k": ["coeffs", "--k", "3"],
+    "invariants": ["invariants", "--upto", "4", "--problem", "M22"],
+    "invariants-k": ["invariants", "--k", "2", "--problem", "M22"],
+    "trace": ["trace", "--problem", "M22", "--t-grid", "0.1,0.5", "--n-max", "40"],
+    "det": ["det", "--problem", "M22", "--lam-grid=-4,-9.5", "--n-max", "40"],
+    "zeta": ["zeta", "--problem", "free_a1_N1.json", "--s-grid", "1.5,2.5,-2",
+             "--lam", "-1"],
+}
+
+
+def _table_out(tmp_path, capsys, name, fmt):
+    path = write_problem(tmp_path, "m22.json", MATRIX_2X2)
+    args = [path if arg == "M22" else arg for arg in TABLES[name]]
+    code, out, err = run_cli(args + ["--format", fmt], capsys)
+    assert (code, err) == (0, "")
+    return out
+
+
+@pytest.mark.parametrize("name, fmt, digest", [
+    ("coeffs", "csv", "925c0af3f703f9e5651bca372d1b4aaa8ecb7918b7e0fbe071239a1a23e375c8"),
+    ("coeffs", "json", "5660f652b5d9f319074e693dd24344e41def32bdcd7e78172f120cf10ced4f7c"),
+    ("coeffs-k", "csv", "8db4a151698dfd7476edc6e259c5e42a2cc0a672fb29580ded2e3a9f77f42952"),
+    ("coeffs-k", "json", "62bdd180fb109aefcd03df3ffe647fce0630ac8c04870f0c0bc7c962247f025a"),
+    ("invariants", "csv", "b38bcc2195c9cf50f2fa0b35e8bd39d41363fb598e591836e76696b38d579158"),
+    ("invariants", "json", "304a9f8ef546aa4d3eab9de4d522e06c84f9f93553b5e558632bbfc8a8cfcdf4"),
+    ("invariants-k", "csv", "7a872a8dd14b39c9dec363d9d1338f3824ab39cc5c2e6631f2e65fc011223b5a"),
+    ("invariants-k", "json", "f297377ca5c23c2b2531f5351e8b8c80c2e3c607eacff8b8c332a45dcc683438"),
+    ("trace", "csv", "5045265267815cdbcad43f3765e306a5f16a8f4a807d3e23bbe91db1284dddb6"),
+    ("trace", "json", "2cbfffe5ba9445adc148b05e18722ba6fa5c094f31b3a8108a61471523a2b243"),
+    ("det", "csv", "7f8b2e7171750d9e2e874f9851f6fb9e4b8d0b3f84ba5664e917a9b45e115748"),
+    ("det", "json", "620b2150967673eff7f1e6501e7cae0d389529b9dc5dc737a05a7aeab04985fa"),
+    ("zeta", "csv", "96400506f988242adede35f4b08114a0ac80ee5cde0d18cb9e487007cde3354f"),
+    ("zeta", "json", "0a454c2c485047b7c0e3c0b979a47328787b37e08f0fa57ff74577c4aa2de1aa"),
+])
+def test_table_bytes(tmp_path, capsys, name, fmt, digest):
+    out = _table_out(tmp_path, capsys, name, fmt)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _same_cell(cell: str, value) -> bool:
+    """A CSV cell and a JSON value: the same text or int, or the same float bits."""
+    if isinstance(value, float):
+        return float(cell).hex() == value.hex()
+    return cell == str(value)
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_csv_and_json_hold_the_same_rows(tmp_path, capsys, name):
+    lines = _table_out(tmp_path, capsys, name, "csv").splitlines()
+    records = json.loads(_table_out(tmp_path, capsys, name, "json"))
+    if name.endswith("-k"):   # one order: the CSV is its bare expression or value
+        (line,), (record,) = lines, records
+        assert _same_cell(line, record.get("expression", record.get("value")))
+        return
+    header, *rows = (line.split(",") for line in lines)
+    keys = [{"A_k": "value"}.get(column, column) for column in header]
+    assert len(rows) == len(records)
+    for row, record in zip(rows, records):
+        assert sorted(record) == sorted(keys)
+        for key, cell in zip(keys, row):
+            assert _same_cell(cell, record[key]), (key, cell, record[key])
+
+
+def test_kdv_text_and_json_hold_the_same_run(tmp_path, capsys):
+    path = write_problem(tmp_path, "cosine.json", COSINE)
+    args = ["kdv", "--problem", path, "--flow", "2", "--s-end", "0.1", "--grid", "64"]
+    lines = run_cli(args, capsys)[1].splitlines()
+    obj = json.loads(run_cli(args + ["--format", "json"], capsys)[1])
+    notes = dict(line[2:].split(" = ") for line in lines if line.startswith("# "))
+    header, *rows = (line.split(",") for line in lines if not line.startswith("#"))
+    assert header == ["s", "A2", "A3", "A4", "A5"]
+    columns = [obj["s"]] + [obj["series"][name] for name in header[1:]]
+    for i, column in enumerate(columns):
+        assert len(column) == len(rows)
+        assert all(map(_same_cell, (row[i] for row in rows), column))
+    for name in header[1:]:
+        assert _same_cell(notes.pop(f"drift {name}"), obj["drifts"][name])
+    assert _same_cell(notes.pop("max_drift"), obj["max_drift"])
+    assert sorted(obj) == sorted([*notes, "s", "series", "drifts", "max_drift"])
+    assert all(obj[key] == value for key, value in notes.items())
 
 
 # ----------------------------------------------------------------- verify

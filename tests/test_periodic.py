@@ -1,5 +1,7 @@
 """Band-limited matrix-valued periodic functions: construction and calculus."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -98,6 +100,12 @@ def test_from_samples_trims_zero_shells():
     vals = np.cos(x).reshape(m, 1, 1).astype(complex)
     f = PeriodicFunction.from_samples(vals, 1.0)
     assert f.bandwidth == 1
+
+
+def test_radius_must_be_positive_and_finite():
+    for a in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="radius a must be positive and finite"):
+            PeriodicFunction.from_modes(a, {1: 0.5})
 
 
 def test_matrix_dimension_below_one_is_refused():
