@@ -17,7 +17,9 @@ README's "Known red check" section carries the analysis.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -222,29 +224,33 @@ def _check_variational_derivative():
                            f"worst rel {worst:.2e} (tol 1e-6)")
 
 
-def _check_conservation_involution():
-    cos1 = PeriodicFunction.cosine(1.0)
-    # flow 2 at the advertised scale, which doubles as the k = 2 cross row
-    traj2 = integrate_flow(2, cos1, 1.0, 10000, grid=256, record=33)
-    rep2 = conservation_report(traj2, ["A2", "A3", "A4", "A5", "I1", "I2", "I3"])
-    flow2_drift = max(rep2.drifts[n] for n in ("A2", "A3", "A4", "A5"))
-    cross = {2: max(rep2.drifts[n] for n in ("I1", "I2", "I3"))}
-    # transport row is integrated exactly by the phase factors
-    rep1 = conservation_report(integrate_flow(1, cos1, 1.0, 64, grid=256, record=9),
-                               ["I1", "I2", "I3"])
-    cross[1] = rep1.max_drift
-    # flow 3 runs at the largest scale its stiffness admits (see notes):
-    # the remaining variable-coefficient symbol ~ 20 max|Q| (grid/3)^3 makes
-    # grid 256 / s_end 1 unreachable by any explicit scheme
-    rep3 = conservation_report(integrate_flow(3, cos1, 0.01, 5000, grid=64, record=9),
-                               ["I1", "I2", "I3"])
-    cross[3] = rep3.max_drift
+# (flow, s_end, steps, grid, record, invariants).  Flow 2 at the advertised
+# scale doubles as the k = 2 cross row; flow 1 is integrated exactly by the
+# phase factors; flow 3 runs at the largest scale its stiffness admits (the
+# symbol ~ 20 max|Q| (grid/3)^3 makes grid 256 / s_end 1 unreachable by any
+# explicit scheme); the last two runs halve the step.
+_FLOW_RUNS = (
+    (2, 1.0, 10000, 256, 33, ("A2", "A3", "A4", "A5", "I1", "I2", "I3")),
+    (1, 1.0, 64, 256, 9, ("I1", "I2", "I3")),
+    (3, 0.01, 5000, 64, 9, ("I1", "I2", "I3")),
+    (2, 0.5, 1000, 96, 17, ("A2", "A3", "A4")),
+    (2, 0.5, 2000, 96, 17, ("A2", "A3", "A4")),
+)
 
-    drifts = []
-    for steps in (1000, 2000):
-        tr = integrate_flow(2, cos1, 0.5, steps, grid=96, record=17)
-        drifts.append(conservation_report(tr, ["A2", "A3", "A4"]).drifts)
-    ratios = [drifts[0][n] / drifts[1][n] for n in ("A2", "A3", "A4")]
+
+def _flow_drifts(run) -> dict[str, float]:
+    flow, s_end, steps, grid, record, invariants = run
+    trajectory = integrate_flow(flow, PeriodicFunction.cosine(1.0), s_end, steps,
+                                grid=grid, record=record)
+    return conservation_report(trajectory, list(invariants)).drifts
+
+
+def _conservation_verdict(drifts):
+    flow2, flow1, flow3, coarse, fine = drifts
+    flow2_drift = max(flow2[n] for n in ("A2", "A3", "A4", "A5"))
+    cross = {1: max(flow1.values()), 2: max(flow2[n] for n in ("I1", "I2", "I3")),
+             3: max(flow3.values())}
+    ratios = [coarse[n] / fine[n] for n in ("A2", "A3", "A4")]
 
     ok = (flow2_drift <= 1e-6 and max(cross.values()) <= 1e-6
           and all(10.0 <= r <= 26.0 for r in ratios))
@@ -252,6 +258,10 @@ def _check_conservation_involution():
                 f"under flows 1/2/3: {cross[1]:.2e}/{cross[2]:.2e}/{cross[3]:.2e} "
                 f"(tol 1e-6); halving ratios {min(ratios):.1f}..{max(ratios):.1f} "
                 "(need ~16)")
+
+
+def _check_conservation_involution():
+    return _conservation_verdict([_flow_drifts(run) for run in _FLOW_RUNS])
 
 
 def _check_w_identity():
@@ -282,17 +292,56 @@ _CHECKS = {
 CHECK_NAMES = list(_CHECKS)
 
 
-def run_check(name: str) -> CheckResult:
-    """Run one named check; unexpected exceptions count as failures."""
+def _check(name: str):
     if name not in _CHECKS:
         raise ValueError(f"unknown check {name!r}; choose from {CHECK_NAMES}")
+    return _CHECKS[name]
+
+
+def _result(name: str, check) -> CheckResult:
     try:
-        passed, detail = _CHECKS[name]()
+        passed, detail = check()
     except Exception as exc:  # a crash is a failed guarantee, not a crash of the runner
         passed, detail = False, f"raised {type(exc).__name__}: {exc}"
     return CheckResult(name, passed, detail)
 
 
+def run_check(name: str) -> CheckResult:
+    """Run one named check; unexpected exceptions count as failures."""
+    return _result(name, _check(name))
+
+
+def _worker_count(jobs: int) -> int:
+    """One per CPU this process may use (one where that is unknown), at most ``jobs``."""
+    return min(jobs, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1)
+
+
 def run_all(only: list[str] | None = None) -> list[CheckResult]:
+    """Run the named checks (all by default), each as :func:`run_check` would.
+
+    Each check and each flow run of ``conservation-involution`` is one job;
+    the jobs run longest first on one forked worker per usable CPU, or in
+    process on one CPU.  Not spawn: a spawned worker imports heatkern again,
+    which costs about what the pool saves.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     names = CHECK_NAMES if only is None else list(only)
-    return [run_check(name) for name in names]
+    checks = {name: _check(name) for name in names}
+    flows = ([(_flow_drifts, run) for run in _FLOW_RUNS]
+             if "conservation-involution" in checks else [])
+    # longest first: the grid-256 flow-2 run, then small-t-asymptotics
+    singles = sorted((name for name in checks if name != "conservation-involution"),
+                     key=lambda name: name != "small-t-asymptotics")
+    jobs = flows[:1] + [(checks[name],) for name in singles] + flows[1:]
+    workers = _worker_count(len(jobs))
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+            outcome = {job: pool.submit(*job).result for job in jobs}
+    else:
+        outcome = {job: functools.partial(*job) for job in jobs}
+    return [_result(name, outcome[(checks[name],)]) if name != "conservation-involution"
+            else _result(name, lambda: _conservation_verdict([outcome[job]() for job in flows]))
+            for name in names]

@@ -277,7 +277,7 @@ def integrate_flow(k: int, Q0: PeriodicFunction, s_end: float, steps: int, *,
             k3 = nonlinear(half * u + half_dt * k2)
             k4 = nonlinear(full_u + dt * (half * k3))
             u = full_u + sixth_dt * (full * k1 + twice_half * (k2 + k3) + k4)
-            if not np.all(np.isfinite(u)):
+            if not np.isfinite(u).all():
                 fits = 4 * steps <= 2 ** 53
                 raise ResolutionError(
                     f"flow {k} blew up near s = {dt * i:.6g} (dt = {dt:.3g}); "

@@ -12,8 +12,12 @@ requirement as stated instead of weakening it; the analysis lives in the
 repository notes.
 """
 
+import concurrent.futures
+import multiprocessing
+
 import pytest
 
+from heatkern import acceptance
 from heatkern.acceptance import CHECK_NAMES, run_check
 
 # Summary lines pinned byte for byte: speed-ups of the hp eigenvalues and of
@@ -66,3 +70,29 @@ def test_perturbative_scaling_needs_no_period_map(monkeypatch):
         "error slopes: Omega 4.0002, gamma 4.00 (need 3 +- 0.3 both; "
         "expansions in 2 eps cos are even in eps, so the true law of both "
         "is eps^4)")
+
+
+def test_pool_gives_the_results_of_run_check(monkeypatch):
+    # short flow runs keep this fast; two workers put the pool route under
+    # test on a one-CPU machine too
+    monkeypatch.setattr(acceptance, "_FLOW_RUNS", (
+        (2, 0.1, 200, 64, 5, ("A2", "A3", "A4", "A5", "I1", "I2", "I3")),
+        (1, 0.1, 8, 64, 3, ("I1", "I2", "I3")),
+        (3, 0.001, 100, 32, 3, ("I1", "I2", "I3")),
+        (2, 0.1, 50, 32, 5, ("A2", "A3", "A4")),
+        (2, 0.1, 100, 32, 5, ("A2", "A3", "A4"))))
+    monkeypatch.setattr(acceptance, "_worker_count", lambda jobs: 2)
+    pools = []
+
+    class RecordedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
+    names = ["determinant-benchmark", "perturbative-scaling", "conservation-involution"]
+    pooled = acceptance.run_all(names)
+    assert len(pools) == 1
+    assert pooled == [run_check(name) for name in names]
+    assert [result.passed for result in pooled[:2]] == [True, False]
+    assert multiprocessing.active_children() == []

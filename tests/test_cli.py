@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import multiprocessing
 import subprocess
 import sys
 import tempfile
@@ -16,7 +17,8 @@ import pytest
 from hypothesis import example, given, settings
 from test_oracle import _JSON_PROBLEMS
 
-from heatkern import cli, kdvflow, perturb
+from heatkern import acceptance, cli, kdvflow, perturb
+from heatkern.errors import ResolutionError
 from heatkern.oracle import eigendata, floquet_log_det, log_det
 from heatkern.specfun import integrate_unit_interval
 
@@ -234,6 +236,15 @@ def test_cli_import_skips_scipy_integrate():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True).stdout
     assert out == "False\n"
+
+
+def test_cli_import_skips_the_process_pool():
+    # verify imports its pool only when it runs, so no command pays for it
+    probe = ("import sys, heatkern.cli; print([m for m in sys.modules if m in "
+             "('multiprocessing', 'concurrent.futures.process')])")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_bad_flag_is_config_error(capsys):
@@ -790,6 +801,34 @@ def test_verify_failing_check_exit4(capsys):
     payload = json.loads(err)
     assert payload["exit"] == 4
     assert "perturbative-scaling" in payload["reason"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_verify_bytes(workers, monkeypatch, capsys):
+    # the same bytes in process and through the pool (two workers even on
+    # one CPU)
+    monkeypatch.setattr(acceptance, "_worker_count", lambda jobs: min(jobs, workers))
+    code, out, err = run_cli(["verify"], capsys)
+    assert code == 4
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a403506f1abb254b871e58a3037b689144e803a5bc16fcba1df2151a1df273d7")
+    assert err == ('{"error": "verification", "exit": 4, "reason": '
+                   '"1 of 10 checks failed: perturbative-scaling"}\n')
+
+
+def test_verify_reports_a_worker_that_raises(monkeypatch, capsys):
+    def blow_up(*args, **kwargs):
+        raise ResolutionError("flow blew up", suggestion={"steps": 4})
+
+    monkeypatch.setattr(acceptance, "integrate_flow", blow_up)
+    monkeypatch.setattr(acceptance, "_worker_count", lambda jobs: 2)
+    code, out, err = run_cli(["verify", "--only", "conservation-involution"], capsys)
+    assert code == 4
+    expected = acceptance.run_check("conservation-involution")
+    assert expected.detail == "raised ResolutionError: flow blew up"
+    assert out == f"FAIL conservation-involution: {expected.detail}\n"
+    assert len(err.splitlines()) == 1 and json.loads(err)["exit"] == 4
+    assert multiprocessing.active_children() == []
 
 
 # ----------------------------------------------------------- output files
