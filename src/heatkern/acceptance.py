@@ -303,7 +303,7 @@ def _result(name: str, check) -> CheckResult:
         passed, detail = check()
     except Exception as exc:  # a crash is a failed guarantee, not a crash of the runner
         passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-    return CheckResult(name, passed, detail)
+    return CheckResult(name, bool(passed), detail)
 
 
 def run_check(name: str) -> CheckResult:

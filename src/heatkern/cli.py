@@ -46,7 +46,7 @@ from pathlib import Path
 
 from .acceptance import CHECK_NAMES, run_all
 from .errors import ResolutionError
-from .heatcoeffs import global_invariant, taylor_coefficient
+from .heatcoeffs import global_invariant, refuse_beyond_memory, taylor_coefficient
 from .kdvflow import (
     conservation_report,
     gradient_rescale,
@@ -276,6 +276,9 @@ def render_poly(poly) -> str:
 
 
 def _orders(args: argparse.Namespace) -> list[int]:
+    """The orders asked for, refused before any is built when the largest
+    would not fit in memory."""
+    refuse_beyond_memory(args.upto if args.k is None else args.k, scalar=False)
     if args.k is not None:
         return [args.k]
     return list(range(args.upto + 1))

@@ -8,7 +8,9 @@ over one positive common denominator in lowest terms (zero coefficients
 dropped; :meth:`DiffPoly.terms` lists terms by word length then by the
 derivative-order sequence).  All coefficient arithmetic is exact integer
 arithmetic, so equality of polynomials is decidable; ``Fraction`` appears
-only where coefficients enter or leave the algebra.
+only where coefficients enter or leave the algebra.  No other module reads
+that storage: every sum is one :func:`combine` (``+``, ``-``, products, and
+the Taylor ladder of :mod:`~heatkern.heatcoeffs` with its ``<n|L|m>``).
 
 The grading used throughout: letter ``d`` has weight ``d + 2``, the weight
 of a word is the sum over its letters and the empty word has weight 0.
@@ -36,6 +38,7 @@ __all__ = [
     "DiffMonomial",
     "DiffPoly",
     "make",
+    "combine",
     "differentiate",
     "antiderivative",
     "commutative_image",
@@ -60,16 +63,6 @@ def _exact(c):
     raise ValueError(f"coefficient must be exact (int/Fraction), got {type(c).__name__}")
 
 
-def _add_term(num: dict[Word, int], w: Word, c: int) -> None:
-    """``num[w] += c``, dropping ``w`` when it cancels; a word that
-    survives keeps its place in the dict."""
-    acc = num.get(w, 0) + c
-    if acc:
-        num[w] = acc
-    else:
-        num.pop(w, None)
-
-
 def _lowest(num: dict[Word, int], den: int) -> tuple[dict[Word, int], int]:
     """``num / den`` (``den > 0``, no zero numerators) in lowest terms."""
     g = math.gcd(den, *num.values())
@@ -84,6 +77,20 @@ def _poly(num: dict[Word, int], den: int) -> "DiffPoly":
     p = DiffPoly.__new__(DiffPoly)
     p._num, p._den = _lowest(num, den)
     return p
+
+
+def _sum_words(pairs: Iterable[tuple[Word, int]], den: int) -> "DiffPoly":
+    """``sum c w / den`` over the ``(w, c)`` pairs, any integers ``c``: the
+    one loop of the word maps.  A word that survives keeps the place where
+    it first entered."""
+    num: dict[Word, int] = {}
+    for w, c in pairs:
+        acc = num.get(w, 0) + c
+        if acc:
+            num[w] = acc
+        else:
+            num.pop(w, None)
+    return _poly(num, den)
 
 
 def _raised(w: Word):
@@ -110,10 +117,8 @@ class DiffPoly:
                 raise ValueError(f"negative derivative order in word {word}")
             items.append((word, _exact(coeff)))
         den = math.lcm(*(c.denominator for _, c in items))
-        num: dict[Word, int] = {}
-        for word, c in items:
-            _add_term(num, word, c.numerator * (den // c.denominator))
-        self._num, self._den = _lowest(num, den)
+        p = _sum_words(((w, c.numerator * (den // c.denominator)) for w, c in items), den)
+        self._num, self._den = p._num, p._den
 
     # -- canonical views ------------------------------------------------
 
@@ -152,33 +157,24 @@ class DiffPoly:
     def __add__(self, other: "DiffPoly") -> "DiffPoly":
         if not isinstance(other, DiffPoly):
             return NotImplemented
-        den = math.lcm(self._den, other._den)
-        f1, f2 = den // self._den, den // other._den
-        out = {w: c * f1 for w, c in self._num.items()}
-        for w, c in other._num.items():
-            _add_term(out, w, c * f2)
-        return _poly(out, den)
+        return combine([(self, {(): 1}), (other, {(): 1})])
 
     def __neg__(self) -> "DiffPoly":
-        return _poly({w: -c for w, c in self._num.items()}, self._den)
+        return combine([(self, {(): -1})])
 
     def __sub__(self, other: "DiffPoly") -> "DiffPoly":
         if not isinstance(other, DiffPoly):
             return NotImplemented
-        return self + (-other)
+        return combine([(self, {(): 1}), (other, {(): -1})])
 
     def __mul__(self, other):
         if isinstance(other, DiffPoly):
-            out: dict[Word, int] = {}
-            for w1, c1 in self._num.items():
-                for w2, c2 in other._num.items():
-                    _add_term(out, w1 + w2, c1 * c2)
-            return _poly(out, self._den * other._den)
+            # each word of self prefixes all of other
+            return combine([(other, self._num)], self._den)
         c = _exact(other)
         if not c:
             return ZERO
-        return _poly({w: c0 * c.numerator for w, c0 in self._num.items()},
-                     self._den * c.denominator)
+        return combine([(self, {(): c.numerator})], c.denominator)
 
     def __rmul__(self, other):
         # scalars commute with everything; word concatenation is handled in __mul__
@@ -196,13 +192,36 @@ def make(coeff, word: Iterable[int]) -> DiffPoly:
     return DiffPoly({tuple(word): coeff})
 
 
+def combine(rows: list[tuple[DiffPoly, Mapping[Word, int]]], den: int = 1) -> DiffPoly:
+    """``sum c Q^(head) p / den`` over the rows ``(p, heads)`` and the
+    entries ``head: c`` of ``heads``: nonzero integers ``c``, word prefixes
+    ``head`` and ``den > 0``.  The numerators are summed once, as integers
+    over the lcm of the ``p`` denominators, row after row and word after
+    word; an empty sum takes the next row whole, by comprehension."""
+    lcm = math.lcm(*(p._den for p, _ in rows))
+    num: dict[Word, int] = {}
+    for p, heads in rows:
+        scale = lcm // p._den
+        for head, c in heads.items():
+            f = c * scale
+            if not num:  # the row seeds the sum; an empty head costs no concatenation
+                terms = p._num.items()
+                num = ({head + w: f * cw for w, cw in terms} if head
+                       else {w: f * cw for w, cw in terms})
+                continue
+            for w, cw in p._num.items():
+                w = head + w
+                acc = num.get(w, 0) + f * cw
+                if acc:
+                    num[w] = acc
+                else:
+                    del num[w]
+    return _poly(num, lcm * den)
+
+
 def differentiate(p: DiffPoly) -> DiffPoly:
     """Total space derivative (Leibniz over each word position)."""
-    out: dict[Word, int] = {}
-    for w, c in p._num.items():
-        for dw in _raised(w):
-            _add_term(out, dw, c)
-    return _poly(out, p._den)
+    return _sum_words(((dw, c) for w, c in p._num.items() for dw in _raised(w)), p._den)
 
 
 def commutative_image(p: DiffPoly) -> DiffPoly:
@@ -212,10 +231,7 @@ def commutative_image(p: DiffPoly) -> DiffPoly:
     irrelevant; the image of a Hermitian-symmetric polynomial keeps the same
     scalar values.
     """
-    out: dict[Word, int] = {}
-    for w, c in p._num.items():
-        _add_term(out, tuple(sorted(w)), c)
-    return _poly(out, p._den)
+    return _sum_words(zip(map(tuple, map(sorted, p._num)), p._num.values()), p._den)
 
 
 def cyclic_image(p: DiffPoly) -> DiffPoly:
@@ -225,10 +241,9 @@ def cyclic_image(p: DiffPoly) -> DiffPoly:
     Since ``tr(AB) = tr(BA)``, the image has the same trace as ``p`` at every
     point against any matrix potential, though not the same matrix values.
     """
-    out: dict[Word, int] = {}
-    for w, c in p._num.items():
-        _add_term(out, min((w[i:] + w[:i] for i in range(len(w))), default=w), c)
-    return _poly(out, p._den)
+    # the least rotation of an n-letter word w is the least n-letter window of w + w
+    return _sum_words(((min([ww[i:i + n] for i in range(n)], default=w), c)
+                       for w, c in p._num.items() for n, ww in [(len(w), w + w)]), p._den)
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +311,12 @@ def antiderivative(p: DiffPoly, *, commutative: bool = False) -> DiffPoly:
         for dw in _raised(w):
             if commutative:
                 dw = tuple(sorted(dw))
-            _add_term(rest, dw, -c)
-            if dw in rest:
+            acc = rest.get(dw, 0) - c
+            if acc:
+                rest[dw] = acc
                 heapq.heappush(heap, (_peel_key(dw, commutative), dw))
+            else:
+                del rest[dw]
     return _poly(result, den)
 
 

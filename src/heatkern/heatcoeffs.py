@@ -6,7 +6,8 @@ Two independent symbolic routes to the diagonal heat-kernel coefficients
 * :func:`taylor_coefficient` builds the full two-point Taylor table
   ``<n|a_k>`` from the operator's matrix elements in the Taylor basis, via
   the ladder recursion
-  ``<n|a_k> = k/(k+n) * sum_m <n|L|m> <m|a_{k-1}>``;
+  ``<n|a_k> = k/(k+n) * sum_m <n|L|m> <m|a_{k-1}>``; ``_ladder_step``
+  states each nonzero ``<n|L|m>`` as a row of :func:`~heatkern.diffpoly.combine`;
 * :func:`diagonal_coefficient_recursive` generates the diagonal directly with
   a third-order recursion operator ``E``:
   ``d/dx [a_k] = -(k / (2(2k-1))) E [a_{k-1}]``,
@@ -37,7 +38,7 @@ from .diffpoly import DiffPoly
 from .periodic import PeriodicFunction
 
 __all__ = [
-    "matrix_element",
+    "refuse_beyond_memory",
     "taylor_coefficient",
     "apply_E",
     "diagonal_coefficient_recursive",
@@ -47,23 +48,6 @@ __all__ = [
 ]
 
 _Q = dp.make(1, (0,))
-_IDENT = dp.IDENTITY
-
-
-def matrix_element(m: int, n: int) -> DiffPoly:
-    """Taylor-basis matrix element ``<m|L|n>`` of ``L = -(d/dx)^2 + Q``.
-
-    Nonzero only for ``n == m + 2`` (the constant ``-1`` from the second
-    derivative) and ``n <= m`` (``binomial(m, n) Q^(m-n)`` from the
-    potential); in particular ``<m|L|m+1> = 0``.
-    """
-    if m < 0 or n < 0:
-        raise ValueError("Taylor indices must be nonnegative")
-    if n == m + 2:
-        return dp.make(-1, ())
-    if n <= m:
-        return dp.make(math.comb(m, n), (m - n,))
-    return dp.ZERO
 
 
 def _word_counts(scalar: bool):
@@ -88,7 +72,7 @@ def _word_counts(scalar: bool):
         yield p[-1] - p[-2]
 
 
-def _refuse_beyond_memory(k: int, scalar: bool) -> None:
+def refuse_beyond_memory(k: int, scalar: bool) -> None:
     """Refuse with ``ValueError``, before building anything, an order whose
     exact ``[a_k]`` is predicted to outgrow physical memory.
 
@@ -111,21 +95,16 @@ _TAYLOR_CACHE: dict[tuple[int, int], DiffPoly] = {}
 
 
 def _ladder_step(k: int, n: int) -> DiffPoly:
-    """``<n|a_k>`` from the cached ``<m|a_{k-1}>``, ``m <= n + 2``: the
-    numerators are brought over the lcm of their denominators and summed
-    as integers, with ``k/(k+n)`` folded into each row's factor."""
+    """``<n|a_k>`` from the cached ``<m|a_{k-1}>``.  The Taylor-basis
+    ``<n|L|m>`` of ``L = -(d/dx)^2 + Q`` is ``C(n, m) Q^(n-m)`` for
+    ``m <= n`` (the potential), ``-1`` at ``m = n + 2`` (the second
+    derivative) and zero otherwise; each nonzero one is a row, with ``k``
+    in its coefficient and ``k + n`` in the denominator."""
     if k == 0:
-        return _IDENT if n == 0 else dp.ZERO
-    # <n|L|m> vanishes unless m <= n or m == n + 2, and is one integer term
-    rows = [(m, _TAYLOR_CACHE[k - 1, m]) for m in list(range(n + 1)) + [n + 2]]
-    den = math.lcm(*(prev._den for _, prev in rows))
-    num: dict[dp.Word, int] = {}
-    for m, prev in rows:
-        (head, c), = matrix_element(n, m)._num.items()
-        c *= k * (den // prev._den)
-        for w, cw in prev._num.items():
-            dp._add_term(num, head + w, c * cw)
-    return dp._poly(num, den * (k + n))
+        return dp.IDENTITY if n == 0 else dp.ZERO
+    rows = [(_TAYLOR_CACHE[k - 1, m], {(n - m,): k * math.comb(n, m)}) for m in range(n + 1)]
+    rows.append((_TAYLOR_CACHE[k - 1, n + 2], {(): -k}))
+    return dp.combine(rows, k + n)
 
 
 def taylor_coefficient(k: int, n: int) -> DiffPoly:
@@ -137,7 +116,7 @@ def taylor_coefficient(k: int, n: int) -> DiffPoly:
         return got
     if k < 0 or n < 0:
         raise ValueError("Taylor indices must be nonnegative")
-    _refuse_beyond_memory(k, scalar=False)
+    refuse_beyond_memory(k, scalar=False)
     # bottom-up, so that no order recurses: <n|a_k> reads <m|a_{k-1}> for
     # m <= n and m = n + 2, hence <m|a_j> for m <= top = n + 2 (k - j)
     # other than m = top - 1
@@ -206,9 +185,9 @@ def diagonal_coefficient_recursive(k: int, *, scalar: bool = False) -> DiffPoly:
     if k < 0:
         raise ValueError("k must be nonnegative")
     if (k, scalar) not in _RECURSIVE_CACHE:
-        _refuse_beyond_memory(k, scalar)
+        refuse_beyond_memory(k, scalar)
     # bottom-up, so that no order recurses
-    prev = _IDENT
+    prev = dp.IDENTITY
     for j in range(1, k + 1):
         got = _RECURSIVE_CACHE.get((j, scalar))
         if got is None:

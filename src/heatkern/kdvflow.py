@@ -39,9 +39,9 @@ import numpy as np
 from . import diffpoly as dp
 from .errors import ResolutionError
 from .heatcoeffs import (
-    _refuse_beyond_memory,
     diagonal_coefficient_recursive,
     global_invariant,
+    refuse_beyond_memory,
     taylor_coefficient,
 )
 from .periodic import PeriodicFunction
@@ -210,7 +210,7 @@ def _refuse_flow(k: int, Q0: PeriodicFunction, grid: int) -> None:
         raise ResolutionError(
             f"grid {grid} cannot hold bandwidth {Q0.bandwidth} inside the "
             f"2/3-rule band; need at least {need}", suggestion={"grid": need})
-    _refuse_beyond_memory(k, scalar=True)
+    refuse_beyond_memory(k, scalar=True)
 
 
 def suggested_steps(k: int, Q0: PeriodicFunction, s_end: float, grid: int = 256) -> int:
@@ -325,7 +325,7 @@ def invariant_orders(names: list[str]) -> dict[str, tuple[int, float]]:
         if kind == "I" and idx < 1:
             raise ValueError("rescaled invariants start at I1")
         orders[name] = (idx, 1.0) if kind == "A" else (idx + 1, float(invariant_rescale(idx)))
-        _refuse_beyond_memory(orders[name][0], scalar=False)
+        refuse_beyond_memory(orders[name][0], scalar=False)
     return orders
 
 

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .heatcoeffs import global_invariant
+from .heatcoeffs import global_invariant, refuse_beyond_memory
 from .specfun import EXP_CUT, f_q, theta
 
 
@@ -142,20 +142,18 @@ def _require_own_spectrum(problem, eigen) -> None:
 
 def trace_comparison_rows(problem, eigen, ts, order: int = 6):
     """(t, Omega_oracle, Omega_eps2, Omega_resummed) rows for reporting;
-    ``eigen`` must be the spectrum of ``problem``."""
+    ``eigen`` must be the spectrum of ``problem``.  The refusals come
+    cheapest first: an order beyond memory, then the oracle column, so that
+    a truncation it refuses costs no invariant."""
     from .oracle import omega as oracle_omega
 
     _require_own_spectrum(problem, eigen)
+    refuse_beyond_memory(order, scalar=False)
+    ts = [float(t) for t in ts]
+    oracle = [oracle_omega(eigen, t) for t in ts]
     invariants = [global_invariant(k, problem.Q).value for k in range(order + 1)]
-    rows = []
-    for t in ts:
-        rows.append((
-            float(t),
-            oracle_omega(eigen, float(t)),
-            omega_exact2(problem, float(t)),
-            resummed_omega(invariants, float(t)),
-        ))
-    return rows
+    return [(t, o, omega_exact2(problem, t), resummed_omega(invariants, t))
+            for t, o in zip(ts, oracle)]
 
 
 def det_comparison_rows(problem, eigen, lams):

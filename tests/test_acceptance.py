@@ -13,6 +13,8 @@ repository notes.
 """
 
 import concurrent.futures
+import dataclasses
+import json
 import multiprocessing
 
 import pytest
@@ -72,15 +74,18 @@ def test_perturbative_scaling_needs_no_period_map(monkeypatch):
         "is eps^4)")
 
 
+# short flow runs keep the tests of run_all fast
+SHORT_FLOW_RUNS = (
+    (2, 0.1, 200, 64, 5, ("A2", "A3", "A4", "A5", "I1", "I2", "I3")),
+    (1, 0.1, 8, 64, 3, ("I1", "I2", "I3")),
+    (3, 0.001, 100, 32, 3, ("I1", "I2", "I3")),
+    (2, 0.1, 50, 32, 5, ("A2", "A3", "A4")),
+    (2, 0.1, 100, 32, 5, ("A2", "A3", "A4")))
+
+
 def test_pool_gives_the_results_of_run_check(monkeypatch):
-    # short flow runs keep this fast; two workers put the pool route under
-    # test on a one-CPU machine too
-    monkeypatch.setattr(acceptance, "_FLOW_RUNS", (
-        (2, 0.1, 200, 64, 5, ("A2", "A3", "A4", "A5", "I1", "I2", "I3")),
-        (1, 0.1, 8, 64, 3, ("I1", "I2", "I3")),
-        (3, 0.001, 100, 32, 3, ("I1", "I2", "I3")),
-        (2, 0.1, 50, 32, 5, ("A2", "A3", "A4")),
-        (2, 0.1, 100, 32, 5, ("A2", "A3", "A4"))))
+    # two workers put the pool route under test on a one-CPU machine too
+    monkeypatch.setattr(acceptance, "_FLOW_RUNS", SHORT_FLOW_RUNS)
     monkeypatch.setattr(acceptance, "_worker_count", lambda jobs: 2)
     pools = []
 
@@ -95,4 +100,17 @@ def test_pool_gives_the_results_of_run_check(monkeypatch):
     assert len(pools) == 1
     assert pooled == [run_check(name) for name in names]
     assert [result.passed for result in pooled[:2]] == [True, False]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=["in-process", "pool"])
+def test_results_hold_plain_json_values(monkeypatch, workers):
+    # a check that returns a numpy bool must still report a real bool
+    monkeypatch.setattr(acceptance, "_FLOW_RUNS", SHORT_FLOW_RUNS)
+    monkeypatch.setattr(acceptance, "_worker_count", lambda jobs: workers)
+    results = acceptance.run_all()
+    assert [result.name for result in results] == list(CHECK_NAMES)
+    for result in results:
+        assert type(result.passed) is bool, result.name
+        json.dumps(dataclasses.asdict(result))
     assert multiprocessing.active_children() == []

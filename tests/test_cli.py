@@ -64,13 +64,19 @@ def test_coeffs_table_and_json(capsys):
 @pytest.mark.parametrize("args", [
     ["coeffs", "--k", "1200"],
     ["invariants", "--k", "1200"],
+    ["coeffs", "--upto", "1200"],
+    ["invariants", "--upto", "1200"],
+    ["trace", "--t-grid", "1", "--order", "1200"],
     ["kdv", "--flow", "1200", "--steps", "10", "--grid", "64"],
     ["kdv", "--flow", "1200", "--grid", "64"],
-], ids=["coeffs", "invariants", "kdv", "kdv-suggested-steps"])
+], ids=["coeffs", "invariants", "coeffs-upto", "invariants-upto", "trace", "kdv",
+        "kdv-suggested-steps"])
 def test_order_beyond_memory_is_refused(args):
     # in a fresh interpreter: a depth-first recursion to such an order ended
     # in a RecursionError traceback, building it would exhaust memory, and
-    # without --steps the step estimate for the flow overflowed first
+    # without --steps the step estimate for the flow overflowed first; a
+    # range of orders is refused by its largest before the lower ones are
+    # built (they take minutes and gigabytes from order 16 on)
     proc = subprocess.run([sys.executable, "-m", "heatkern.cli"] + args,
                           capture_output=True, text=True, timeout=10)
     assert (proc.returncode, proc.stdout) == (2, "")
@@ -425,6 +431,24 @@ def test_bandwidth_refusal_suggests_only_a_band_that_fits(tmp_path, capsys, args
     code, out, err = run_cli(args + ["--problem", near, "--n-max", "2"], capsys)
     assert (code, out) == (3, "")
     assert json.loads(err)["suggestion"] == {"n_max": 5}
+
+
+def test_trace_refuses_before_it_builds_any_invariant(tmp_path, capsys, monkeypatch):
+    # the oracle column comes before any A_k, so a refused truncation costs
+    # none; only an order predicted not to fit in memory is refused earlier
+    def refuse(*args):
+        raise AssertionError("an invariant was built before the oracle refused")
+
+    far = write_problem(tmp_path, "far.json", {"a": 1.0, "N": 1, "modes": [
+        {"n": 30000, "matrix": [[[0.1, 0.0]]]}]})
+    monkeypatch.setattr(perturb, "global_invariant", refuse)
+    code, out, err = run_cli(["trace", "--t-grid", "1", "--problem", far,
+                              "--n-max", "64"], capsys)
+    assert (code, out) == (3, "") and json.loads(err)["reason"].startswith("n_max=64 ")
+    code, out, err = run_cli(["trace", "--t-grid", "1e-6", "--n-max", "8",
+                              "--order", "40"], capsys)
+    assert (code, out) == (2, "") and len(err.splitlines()) == 1
+    assert " cannot be built in memory: " in json.loads(err)["reason"]
 
 
 def test_det_far_below_the_spectrum_is_the_free_closed_form(capsys):

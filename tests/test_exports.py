@@ -202,3 +202,37 @@ def test_period_map_is_named_only_by_the_oracle():
     naming = [path.name for path in sorted(PACKAGE.rglob("*.py"))
               if path.name != "oracle.py" and "floquet_log_det" in path.read_text()]
     assert naming == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+# the integer storage of ``DiffPoly`` and the helpers that build it
+DIFFPOLY_STORAGE = {"_num", "_den", "_add_term", "_poly"}
+
+
+def test_no_module_reaches_into_another():
+    """No module imports another module's ``_``-prefixed name or reads a
+    ``_``-prefixed attribute that its own file does not define, and no
+    module but ``diffpoly.py`` names the storage of ``DiffPoly`` at all."""
+    offences = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        nodes = list(ast.walk(tree))
+        own = {node.name for node in nodes
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+        own |= {node.id for node in nodes
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+        own |= {node.attr for node in nodes
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)}
+        imported = [alias.name for node in nodes if isinstance(node, ast.ImportFrom)
+                    for alias in node.names]
+        offences += [f"{path.name}: imports {name}" for name in imported if _private(name)]
+        offences += [f"{path.name}:{node.lineno}: reads .{node.attr}" for node in nodes
+                     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                     and _private(node.attr) and node.attr not in own]
+        if path.name != "diffpoly.py":
+            named = set(_references(tree)) | set(imported) | own
+            offences += [f"{path.name}: names {name}" for name in sorted(named & DIFFPOLY_STORAGE)]
+    assert offences == []

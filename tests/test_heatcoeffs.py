@@ -1,5 +1,6 @@
 """Symbolic heat-expansion coefficients: frozen low orders, recursions, invariants."""
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -15,6 +16,7 @@ from heatkern.diffpoly import (
     ZERO,
     antiderivative,
     commutative_image,
+    cyclic_image,
     differentiate,
     evaluate,
     fft_grid,
@@ -25,7 +27,6 @@ from heatkern.heatcoeffs import (
     apply_E,
     diagonal_coefficient_recursive,
     global_invariant,
-    matrix_element,
     taylor_coefficient,
     w_coefficient,
 )
@@ -50,13 +51,23 @@ def _reversed_words(p: DiffPoly) -> DiffPoly:
     return DiffPoly({m.word[::-1]: m.coeff for m in p.terms()})
 
 
+def _matrix_element(n: int, m: int) -> DiffPoly:
+    """Taylor-basis ``<n|L|m>`` of ``L = -(d/dx)^2 + Q``: ``-1`` from the
+    second derivative at ``m == n + 2``, ``binomial(n, m) Q^(n-m)`` from the
+    potential for ``m <= n``, zero otherwise (so ``<n|L|n+1> = 0``)."""
+    if m == n + 2:
+        return make(-1, ())
+    return make(math.comb(n, m), (n - m,)) if m <= n else ZERO
+
+
 def test_matrix_elements():
-    assert matrix_element(3, 5) == -IDENTITY
-    assert matrix_element(3, 4) == ZERO
-    assert matrix_element(0, 3) == ZERO
-    assert matrix_element(3, 1) == make(3, (2,))
-    assert matrix_element(2, 2) == make(1, (0,))
-    assert matrix_element(4, 0) == make(1, (4,))
+    # the table of the polynomial-arithmetic reference _ladder below
+    assert _matrix_element(3, 5) == -IDENTITY
+    assert _matrix_element(3, 4) == ZERO
+    assert _matrix_element(0, 3) == ZERO
+    assert _matrix_element(3, 1) == make(3, (2,))
+    assert _matrix_element(2, 2) == make(1, (0,))
+    assert _matrix_element(4, 0) == make(1, (4,))
 
 
 def test_low_order_diagonal_coefficients():
@@ -87,19 +98,48 @@ def _ladder(k: int, n: int, memo: dict) -> DiffPoly:
             for m in list(range(n + 1)) + [n + 2]:
                 prev = _ladder(k - 1, m, memo)
                 if not prev.is_zero():
-                    acc = acc + matrix_element(n, m) * prev
+                    acc = acc + _matrix_element(n, m) * prev
             memo[k, n] = Fraction(k, k + n) * acc
     return memo[k, n]
 
 
 def test_ladder_matches_polynomial_arithmetic_in_value_and_order():
-    # the evaluation trie follows the terms' order, so order is pinned too
+    # evaluate sorts the words, so no value depends on the storage order;
+    # the order is pinned as well, as a guard that a change to the summing
+    # kernel builds the same dicts
     memo = {}
     _ladder(8, 0, memo)
     for (k, n), want in memo.items():
         got = taylor_coefficient(k, n)
         assert got._den == want._den, (k, n)
         assert list(got._num.items()) == list(want._num.items()), (k, n)
+
+
+# sha256 of the reprs, one per line, of each family of exact coefficients;
+# repr lists the terms in canonical order, so these pin every value
+ALGEBRA_DIGESTS = {
+    "taylor_diagonal": (lambda: [taylor_coefficient(k, 0) for k in range(11)],
+                        "a463b96d067c922df48f58789b0c8ee73811f671e1efd5e89bda444b12c7b5b8"),
+    "taylor_first_row": (lambda: [taylor_coefficient(k, 1) for k in range(7)],
+                         "bdd46cc89183e616e53c15ef8c9895698603016410875612e898c98e5261372e"),
+    "recursive_scalar": (lambda: [diagonal_coefficient_recursive(k, scalar=True)
+                                  for k in range(13)],
+                         "1f04fee5dfa211962848c09a01ae40fb5ee4850a0aa228a2d20279a977020a51"),
+    "recursive_matrix": (lambda: [diagonal_coefficient_recursive(k) for k in range(7)],
+                         "ad1f51c8a2648a6d3e3c0af708500fec2fdcd0f3c74c14718c2aad82fc6f5b0f"),
+    "commutative_image": (lambda: [commutative_image(taylor_coefficient(k, 0))
+                                   for k in range(9)],
+                          "97a755219582bf05ac200b69b8554c6c41627ed8b3f5522b47d586aa41a8f39b"),
+    "cyclic_image": (lambda: [cyclic_image(taylor_coefficient(k, 0)) for k in range(9)],
+                     "3a69f60abc34a34c521422226e867303aeac91407be2a1591335151360c9318a"),
+}
+
+
+@pytest.mark.parametrize("family", ALGEBRA_DIGESTS)
+def test_exact_coefficients_keep_their_bytes(family):
+    build, digest = ALGEBRA_DIGESTS[family]
+    text = "\n".join(map(repr, build()))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_word_counts_match_each_order():
