@@ -331,10 +331,12 @@ def run_all(only: list[str] | None = None) -> list[CheckResult]:
     checks = {name: _check(name) for name in names}
     flows = ([(_flow_drifts, run) for run in _FLOW_RUNS]
              if "conservation-involution" in checks else [])
-    # longest first: the grid-256 flow-2 run, then small-t-asymptotics
-    singles = sorted((name for name in checks if name != "conservation-involution"),
-                     key=lambda name: name != "small-t-asymptotics")
-    jobs = flows[:1] + [(checks[name],) for name in singles] + flows[1:]
+    singles = [(checks[name],) for name in checks if name != "conservation-involution"]
+    # longest first, by seconds measured one job at a time: the flow runs 0.79
+    # (grid 256), 0.01, 0.26 (flow 3), 0.045, 0.075, small-t 0.16, others < 0.02
+    seconds = dict(zip(flows, (0.79, 0.01, 0.26, 0.045, 0.075)))
+    seconds[(_CHECKS["small-t-asymptotics"],)] = 0.16
+    jobs = sorted(flows + singles, key=lambda job: -seconds.get(job, 0.0))
     workers = _worker_count(len(jobs))
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
         fork = multiprocessing.get_context("fork")

@@ -119,6 +119,9 @@ class FlowState:
 # matrices: below it a matrix-vector product costs less than the 7-10 us
 # overhead of an np.fft call, above it the O(grid^2) products cost more.
 _MATRIX_ENTRIES = 2 ** 17
+# The most steps suggested_steps plans, minutes at 50-100 us a step; at the
+# kdv defaults flow 3 on cos x would plan 3.3e8 steps (hours), flow 4 8.3e12.
+_MAX_PLANNED_STEPS = 10 ** 7
 
 
 def _flow_operator(k: int, a: float, grid: int):
@@ -136,6 +139,7 @@ def _flow_operator(k: int, a: float, grid: int):
     ``gradient_rescale(k) D``.  The words are summed in physical space, so
     ``to_spec`` runs once.  Where the maps fit in ``_MATRIX_ENTRIES`` they
     are applied as the dense real matrices they are, read off the identity.
+    The evaluator works in buffers of its own; each result is a new array.
     """
     poly = diagonal_coefficient_recursive(k, scalar=True)
     kept = grid // 3 + 1
@@ -151,9 +155,11 @@ def _flow_operator(k: int, a: float, grid: int):
     lin = float(gradient_rescale(k) * lin_coeff) * ik ** (2 * k - 1)
     orders = sorted({d for word, _ in words for d in word})
     powers = np.array([ik ** d for d in orders]).reshape(len(orders), kept)
-    # each word as rows of the batched derivative transform
+    # each word as rows of the batched derivative transform, its coefficient
+    # as the 0-d array numpy would make of the float on every call
     plan = [(orders.index(word[0]), [orders.index(d) for d in word[1:-1]],
-             orders.index(word[-1]), coeff) for word, coeff in words]
+             orders.index(word[-1]), np.array(coeff)) for word, coeff in words]
+    acc, prod = np.zeros(grid), np.empty(grid)  # acc stays 0 with no word (flow 1)
 
     def to_phys(u_hat):
         return np.fft.irfft(u_hat[..., None, :] * powers, grid)
@@ -171,24 +177,29 @@ def _flow_operator(k: int, a: float, grid: int):
         phys_rows = to_phys(np.eye(2 * kept).view(np.complex128)).reshape(2 * kept, -1)
         spec_rows = to_spec(np.eye(grid)).view(np.float64)
         dealias_rows = dealias(np.eye(grid)) if interior else None
+        phys_flat, dealiased = np.empty(len(orders) * grid), np.empty(grid)
+        phys = phys_flat.reshape(len(orders), grid)
 
         def to_phys(u_hat):
-            return (u_hat.view(np.float64) @ phys_rows).reshape(-1, grid)
+            np.dot(u_hat.view(np.float64), phys_rows, out=phys_flat)
+            return phys
 
         def dealias(v):
-            return v @ dealias_rows
+            return np.dot(v, dealias_rows, out=dealiased)
 
         def to_spec(v):
-            return (v @ spec_rows).view(np.complex128)
+            return np.dot(v, spec_rows).view(np.complex128)
 
     def rhs(u_hat: np.ndarray) -> np.ndarray:
         phys = to_phys(u_hat)
-        acc = np.zeros(grid)
-        for first, inner, last, coeff in plan:
+        for n, (first, inner, last, coeff) in enumerate(plan):
             cur = phys[first]
             for r in inner:
-                cur = dealias(cur * phys[r])
-            acc += coeff * (cur * phys[last])
+                cur = dealias(np.multiply(cur, phys[r], out=prod))
+            term = prod if n else acc  # the first word's term starts the sum
+            np.multiply(coeff, np.multiply(cur, phys[last], out=term), out=term)
+            if n:
+                np.add(acc, term, out=acc)
         return to_spec(acc)
 
     return lin, rhs
@@ -224,14 +235,23 @@ def suggested_steps(k: int, Q0: PeriodicFunction, s_end: float, grid: int = 256)
     turns weakly unstable near the dealiasing cutoff well before the plain
     CFL limit would bite.  The inputs pass the flow gate first, so a flow
     whose ``[a_k]`` cannot fit in physical memory is refused before the
-    estimate grows beyond any workable step count.
+    estimate grows beyond any workable step count.  A plan above
+    ``_MAX_PLANNED_STEPS`` is refused with an ``s_end`` that fits, unless
+    ``Q0`` is constant (it takes no step).
     """
     _refuse_flow(k, Q0, grid)
     if k == 1:
         return 64  # the transport flow is handled exactly by the phase factors
     amp = 2.0 * max(1.0, float(np.max(np.abs(Q0.sample_scalar(max(64, grid))))))
     omega = 2.0 * abs(gradient_rescale(k)) * amp * (grid // 3 / Q0.a) ** (2 * k - 3)
-    return max(64, math.ceil(s_end * omega / 0.15))
+    planned = s_end * omega / 0.15
+    if planned > _MAX_PLANNED_STEPS and Q0.bandwidth:
+        fits = float(f"{0.99 * _MAX_PLANNED_STEPS * 0.15 / omega:.3g}")
+        raise ResolutionError(
+            f"flow {k} plans {planned:.3g} steps to s_end = {s_end:g} on grid {grid}, above "
+            f"{_MAX_PLANNED_STEPS}; s_end = {fits:g} fits, or give the steps",
+            suggestion={"s_end": fits})
+    return max(64, math.ceil(planned))
 
 
 def integrate_flow(k: int, Q0: PeriodicFunction, s_end: float, steps: int, *,
@@ -252,10 +272,14 @@ def integrate_flow(k: int, Q0: PeriodicFunction, s_end: float, steps: int, *,
     lin, nonlinear = _flow_operator(k, Q0.a, grid)
     u = np.fft.rfft(Q0.sample_scalar(grid))[:lin.size]
     dt = s_end / steps
-    half_dt, sixth_dt = 0.5 * dt, dt / 6.0
     half = np.exp(lin * (dt / 2.0))
     full = half * half
     twice_half = 2.0 * half
+    # the step sizes as the complex 0-d arrays numpy would build on every call;
+    # the loop does its comment's float operations, in order, in buffers
+    dt_c, half_dt, sixth_dt = (np.array(complex(x)) for x in (dt, 0.5 * dt, dt / 6.0))
+    full_u, stage, tmp = np.empty((3, u.size), dtype=complex)
+    mul, add = np.multiply, np.add
     record_at = {int(round(x)) for x in np.linspace(0.0, steps, max(2, record))}
 
     def snapshot(i: int, spec: np.ndarray) -> FlowState:
@@ -271,12 +295,16 @@ def integrate_flow(k: int, Q0: PeriodicFunction, s_end: float, steps: int, *,
     # overflow chatter numpy emits on the step that produces it
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, steps + 1):
-            full_u = full * u
+            # full_u = full u, k1 = N(u), k2 = N(half (u + half_dt k1)),
+            # k3 = N(half u + half_dt k2), k4 = N(full_u + dt (half k3)),
+            # u = full_u + sixth_dt (full k1 + twice_half (k2 + k3) + k4)
+            mul(full, u, out=full_u)
             k1 = nonlinear(u)
-            k2 = nonlinear(half * (u + half_dt * k1))
-            k3 = nonlinear(half * u + half_dt * k2)
-            k4 = nonlinear(full_u + dt * (half * k3))
-            u = full_u + sixth_dt * (full * k1 + twice_half * (k2 + k3) + k4)
+            k2 = nonlinear(mul(half, add(u, mul(half_dt, k1, out=stage), out=stage), out=stage))
+            k3 = nonlinear(add(mul(half, u, out=stage), mul(half_dt, k2, out=tmp), out=stage))
+            k4 = nonlinear(add(full_u, mul(dt_c, mul(half, k3, out=stage), out=stage), out=stage))
+            add(mul(full, k1, out=k1), mul(twice_half, add(k2, k3, out=k2), out=k2), out=k1)
+            add(full_u, mul(sixth_dt, add(k1, k4, out=k1), out=k1), out=u)
             if not np.isfinite(u).all():
                 fits = 4 * steps <= 2 ** 53
                 raise ResolutionError(

@@ -644,7 +644,11 @@ def _window_edge(diag, off, centre: int, seed: float, log_tol: float,
 def _newton_refine_tridiagonal(diag, offsq, seeds):
     """Refine float64 eigenvalue seeds of a symmetric tridiagonal matrix to
     ``HP_DPS`` digits via Newton on the characteristic-polynomial recurrence.
-    ``offsq`` carries the squared couplings (float-to-mpf is exact).
+    ``offsq`` carries the squared couplings.  The recurrence runs in exact
+    integers at fixed point ``S = 2^bits``, ``bits = ceil((HP_DPS + 10) log2
+    10)``: lambda and the diagonal carry ``S``, the squared couplings ``S^2``,
+    ``p_k`` ``S^k`` and ``p'_k`` ``S^(k-1)``, so the step in units of ``1/S``
+    is ``p / p'`` rounded; each result becomes an ``mpf`` once, at HP_DPS.
 
     Each seed's recurrence runs only over a window of rows around the row
     whose diagonal is nearest the seed.  The window ends on each side where
@@ -655,10 +659,16 @@ def _newton_refine_tridiagonal(diag, offsq, seeds):
     """
     import mpmath as mp
 
+    bits = math.ceil((HP_DPS + 10) * math.log2(10))
+
+    def fixed(x, shift):  # floor(x 2^shift): exact for any float above 2^-shift
+        num, den = float(x).as_integer_ratio()
+        return (num << shift) // den
+
     diag_arr = np.asarray(diag, dtype=float)
     off = np.sqrt(np.asarray(offsq, dtype=float)).tolist()
-    d = [mp.mpf(x) for x in diag]
-    e2 = [mp.mpf(x) for x in offsq]
+    d = [fixed(x, bits) for x in diag]
+    e2 = [fixed(x, 2 * bits) for x in offsq]
     refined = []
     with mp.workdps(HP_DPS):
         for seed in seeds:
@@ -667,24 +677,23 @@ def _newton_refine_tridiagonal(diag, offsq, seeds):
             log_tol = math.log(max(1.0, abs(seed))) - (HP_DPS + 4) * math.log(10.0)
             lo = _window_edge(diag, off, centre, seed, log_tol, -1)
             hi = _window_edge(diag, off, centre, seed, log_tol, +1)
-            lam = mp.mpf(seed)
+            lam = fixed(seed, bits)
             for _ in range(8):
-                p_prev, p = mp.mpf(1), d[lo] - lam
-                dp_prev, dp = mp.mpf(0), mp.mpf(-1)
+                p_prev, p = 1, d[lo] - lam
+                dp_prev, dp = 0, -1
                 for k in range(lo + 1, hi + 1):
-                    p_new = (d[k] - lam) * p - e2[k - 1] * p_prev
-                    dp_new = -p + (d[k] - lam) * dp - e2[k - 1] * dp_prev
-                    p_prev, p = p, p_new
-                    dp_prev, dp = dp, dp_new
-                step = p / dp
+                    shifted = d[k] - lam
+                    p_prev, p, dp_prev, dp = (p, shifted * p - e2[k - 1] * p_prev,
+                                              dp, shifted * dp - p - e2[k - 1] * dp_prev)
+                step = (2 * p + dp) // (2 * dp)  # p / p', rounded to nearest
                 lam -= step
-                if abs(step) <= mp.mpf(10) ** (-(HP_DPS - 2)) * max(1, abs(lam)):
+                if abs(step) * 10 ** (HP_DPS - 2) <= max(1 << bits, abs(lam)):
                     break
             else:
                 raise ArithmeticError(
                     f"Newton refinement of seed {seed!r} did not converge "
                     f"in 8 steps at dps={HP_DPS}")
-            refined.append(lam)
+            refined.append(mp.mpf((lam, -bits)))
     return refined
 
 
@@ -708,8 +717,9 @@ def eigenvalues_hp(problem: SpectralProblem, n_max: int):
 
 def heat_trace_hp(eigen: EigenData, t):
     """High-precision Theta(t) over ``eigen.eigenvalues_hp``, solved once
-    and reused across many t; refused as the float64 path is, with the
-    floor at ``EXP_CUT + 15``."""
+    and reused across many t, as a sum of ``mp.exp(-t v)`` (a power of
+    ``mp.e`` takes ``log e`` per term); refused as the float64 path is, with
+    the floor at ``EXP_CUT + 15``."""
     import mpmath as mp
 
     values = eigen.eigenvalues_hp
@@ -719,4 +729,4 @@ def heat_trace_hp(eigen: EigenData, t):
             raise _truncation_error(
                 eigen, f"hp truncation n_max={eigen.n_max} too small for t={float(t):g}",
                 (EXP_CUT + 15) / float(t))
-        return mp.fsum(mp.e ** (-tt * v) for v in values)
+        return mp.fsum(mp.exp(-tt * v) for v in values)

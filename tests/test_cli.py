@@ -9,6 +9,7 @@ import multiprocessing
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from test_oracle import _JSON_PROBLEMS
 from heatkern import acceptance, cli, kdvflow, perturb
 from heatkern.errors import ResolutionError
 from heatkern.oracle import eigendata, floquet_log_det, log_det
+from heatkern.periodic import PeriodicFunction
 from heatkern.specfun import integrate_unit_interval
 
 
@@ -665,6 +667,22 @@ def test_kdv_divergence_beyond_the_step_cap_suggests_nothing(tmp_path, capsys):
     payload = json.loads(err)
     assert payload["error"] == "resolution" and "suggestion" not in payload
     assert "no step count under the 2**53 cap helps" in payload["reason"]
+
+
+@pytest.mark.parametrize("flow, planned", [("3", "3.28e+08"), ("4", "8.28e+12")])
+def test_kdv_refuses_a_planned_run_of_hours(tmp_path, capsys, flow, planned):
+    # at the defaults (s_end 1, grid 256) flows 3 and 4 on cos x would plan
+    # hours of steps; the refusal comes at once and its s_end fits the plan
+    path = write_problem(tmp_path, "cosine.json", COSINE)
+    start = time.perf_counter()
+    code, out, err = run_cli(["kdv", "--problem", path, "--flow", flow], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "") and len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["reason"].startswith(f"flow {flow} plans {planned} steps")
+    fits = payload["suggestion"]["s_end"]
+    cosine = PeriodicFunction.cosine(1.0)
+    assert kdvflow.suggested_steps(int(flow), cosine, fits, 256) <= kdvflow._MAX_PLANNED_STEPS
 
 
 def test_kdv_static_state_returns_without_stepping():

@@ -1,6 +1,7 @@
 """Hierarchy flows: gradient identities, the dealiased integrator, and
 conservation along trajectories."""
 
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -8,8 +9,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from heatkern import acceptance, kdvflow
 from heatkern import diffpoly as dp
-from heatkern import kdvflow
 from heatkern.errors import ResolutionError
 from heatkern.heatcoeffs import (
     diagonal_coefficient_recursive,
@@ -371,6 +372,48 @@ def test_matrix_and_fft_sides_agree(monkeypatch, k, grid):
     assert np.max(np.abs(rhs[0] - rhs[2 ** 40])) <= 2e-14 * np.max(np.abs(rhs[0]))
 
 
+# sha256 of every snapshot's mode bytes over 40 steps of each (flow, grid)
+# that verify's conservation check runs, at that run's dt = s_end / steps,
+# plus flow 2 on the FFT side (grid 384) at the grid-256 run's dt
+TRAJECTORY_DIGESTS = {
+    (2, 256, 1.0, 10000):
+        "5cf451f85c632c5c17067430639010df459b8be6a3f54ee319f0ac5fdfbbb9c9",
+    (1, 256, 1.0, 64):
+        "416fdd67800a49ee4ee9e017e0591dc7cb33dd579ecda7fc9e8b3b477bb2327d",
+    (3, 64, 0.01, 5000):
+        "5b97b095d68e84c6e1f0d9f7a9a67adba615a8f7ee9e1b07688021e3ac7f72bd",
+    (2, 96, 0.5, 1000):
+        "badca919c548667a4c03eebab4cbde01d0e9c6507670fe45da7b5383c3b1f12c",
+    (2, 96, 0.5, 2000):
+        "aaef4a1c089f0acfc9d765767e7d3d14154a5df830a38e0a67b25ad85d648878",
+    (2, 384, 1.0, 10000):
+        "d547bff31b6ea90ab7572bef12c252646ffac21490bbdf03b4fa4cf10a05d7ab",
+}
+
+
+def test_trajectory_digests_cover_verify_runs():
+    runs = {(flow, grid, s_end, steps)
+            for flow, s_end, steps, grid, _, _ in acceptance._FLOW_RUNS}
+    assert runs < set(TRAJECTORY_DIGESTS)
+
+
+def trajectory_digest(flow, grid, s_end, steps, cut=40):
+    dt = s_end / steps
+    trajectory = integrate_flow(flow, COS, dt * cut, cut, grid=grid, record=cut + 1)
+    assert [state.s for state in trajectory] == [dt * i for i in range(cut + 1)]
+    digest = hashlib.sha256()
+    for state in trajectory:
+        a, shape, modes = _content(state.Q)
+        digest.update(repr((a, shape)).encode() + modes)
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("flow, grid, s_end, steps", list(TRAJECTORY_DIGESTS))
+def test_flow_trajectory_bytes(flow, grid, s_end, steps):
+    assert (trajectory_digest(flow, grid, s_end, steps)
+            == TRAJECTORY_DIGESTS[flow, grid, s_end, steps])
+
+
 def held_bytes(k, grid):
     """Bytes that the flow-``k`` operator on ``grid`` keeps alive."""
     _flow_operator(k, 1.0, grid)  # fill the symbolic caches first
@@ -424,3 +467,15 @@ def test_suggested_steps():
     s1 = suggested_steps(2, COS, 0.5, 256)
     s2 = suggested_steps(2, COS, 1.0, 256)
     assert 64 <= s1 < s2
+    assert s2 == 13600  # the kdv defaults' flow-2 plan
+
+
+@pytest.mark.parametrize("k, grid", [(3, 256), (4, 256), (3, 1024), (5, 64)])
+def test_suggested_steps_refuses_beyond_the_ceiling(k, grid):
+    with pytest.raises(ResolutionError, match=rf"^flow {k} plans .* steps to s_end = 1 ") as info:
+        suggested_steps(k, COS, 1.0, grid)
+    fits = info.value.suggestion["s_end"]
+    assert 64 <= suggested_steps(k, COS, fits, grid) <= kdvflow._MAX_PLANNED_STEPS
+    # a constant is a fixed point that takes no step, so its plan is not refused
+    flat = PeriodicFunction.constant(1.0, np.array([[3.0]], dtype=complex))
+    assert suggested_steps(k, flat, 1.0, grid) > kdvflow._MAX_PLANNED_STEPS

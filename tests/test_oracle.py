@@ -18,6 +18,7 @@ from scipy.integrate import quad
 from heatkern.errors import ResolutionError
 from heatkern.heatcoeffs import global_invariant
 from heatkern.oracle import (
+    HP_DPS,
     EigenData,
     SpectralProblem,
     _cube_tail,
@@ -756,6 +757,21 @@ def test_hp_window_matches_full_recurrence_random(amplitude, n_max):
     prob = cosine_problem(amplitude=amplitude)
     assert _hp_rel_err(eigenvalues_hp(prob, n_max),
                        _hp_reference(prob, n_max)) <= 1e-48
+
+
+def test_hp_newton_matches_constant_tridiagonal_closed_form():
+    # diagonal d, couplings e: the eigenvalues are d + 2e cos(j pi/(n+1)),
+    # j = 1..n.  No row is dominant, so the window is the whole matrix.
+    n, d, e = 40, 2.5, 0.5
+    seeds = linalg.eigh_tridiagonal(np.full(n, d), np.full(n - 1, e), eigvals_only=True)
+    values = _newton_refine_tridiagonal([d] * n, [e * e] * (n - 1), seeds)
+    with mp.workdps(60):
+        exact = sorted(d + 2 * mp.mpf(e) * mp.cos(j * mp.pi / (n + 1))
+                       for j in range(1, n + 1))
+        assert max(abs(v - r) / abs(r) for v, r in zip(values, exact)) <= 1e-49
+    # each value carries HP_DPS digits, not the 53 bits of an mpf built
+    # outside mp.workdps(HP_DPS)
+    assert all(v.bc > mp.libmp.dps_to_prec(HP_DPS) - 16 for v in values)
 
 
 def test_hp_newton_refuses_unconverged_seed():
