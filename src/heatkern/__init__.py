@@ -5,7 +5,7 @@ Subpackages
 diffpoly    exact noncommutative differential-polynomial algebra
 periodic    band-limited matrix-valued functions on the circle
 heatcoeffs  heat-trace coefficient machinery (two independent recursions)
-specfun     theta, boundary-layer and plateau special functions
+specfun     theta and boundary-layer special functions
 oracle      Fourier-Galerkin eigenvalues, heat trace, zeta, determinants
 perturb     second-order (weak-potential) closed forms
 kdvflow     integrable hierarchy flows and conservation checks

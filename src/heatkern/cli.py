@@ -275,17 +275,17 @@ def render_poly(poly) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _orders(args: argparse.Namespace) -> list[int]:
+def _orders(args: argparse.Namespace, scalar: bool) -> list[int]:
     """The orders asked for, refused before any is built when the largest
-    would not fit in memory."""
-    refuse_beyond_memory(args.upto if args.k is None else args.k, scalar=False)
+    would not fit in memory (in the commutative quotient when ``scalar``)."""
+    refuse_beyond_memory(args.upto if args.k is None else args.k, scalar)
     if args.k is not None:
         return [args.k]
     return list(range(args.upto + 1))
 
 
 def _cmd_coeffs(args: argparse.Namespace) -> int:
-    rows = [(k, render_poly(taylor_coefficient(k, 0))) for k in _orders(args)]
+    rows = [(k, render_poly(taylor_coefficient(k, 0))) for k in _orders(args, False)]
     bare = args.k is not None and args.format == "csv"   # one order: its expression
     _emit(args, rows[0][1] + "\n" if bare else _table(args, ("k", "expression"), rows))
     return 0
@@ -293,7 +293,7 @@ def _cmd_coeffs(args: argparse.Namespace) -> int:
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
     problem = load_problem(args.problem)
-    rows = [(k, g.value, g.grid) for k in _orders(args)
+    rows = [(k, g.value, g.grid) for k in _orders(args, problem.Q.matrix_dim == 1)
             for g in [global_invariant(k, problem.Q)]]
     bare = args.k is not None and args.format == "csv"   # one order: its value
     _emit(args, _fmt(rows[0][1]) + "\n" if bare else

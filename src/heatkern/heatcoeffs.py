@@ -20,8 +20,9 @@ agreement check is exact, not numeric.  Normalisation: ``[a_0] = 1``,
 
 :func:`global_invariant` integrates the trace image of ``[a_k]``, one word
 per class of words whose traces agree at every point (the trace is cyclic,
-and a scalar potential commutes): 137 of 4181 words at k = 10 for a scalar
-potential, 142 of 610 at k = 8 for a matrix one.
+and a scalar potential commutes): for a scalar potential the 137 words at
+k = 10 of the scalar recursion, which never builds the table's 4181; for a
+matrix one the cyclic image of the table, 142 of 610 words at k = 8.
 """
 
 from __future__ import annotations
@@ -179,7 +180,7 @@ def diagonal_coefficient_recursive(k: int, *, scalar: bool = False) -> DiffPoly:
 
     Each step integrates ``-(k / (2(2k-1))) E [a_{k-1}]`` exactly.  With
     ``scalar=True`` the whole chain runs in the commutative quotient; the
-    result then matches ``commutative_image(taylor_coefficient(k, 0))``.
+    result is then the commutative image of ``taylor_coefficient(k, 0)``.
     An order predicted not to fit in physical memory raises ``ValueError``.
     """
     if k < 0:
@@ -222,25 +223,26 @@ class GlobalInvariant:
 def global_invariant(k: int, Q: PeriodicFunction, grid: int | None = None) -> GlobalInvariant:
     """Evaluate ``A_k`` for a band-limited potential.
 
-    The integrand is the trace image of ``[a_k]``: its commutative image
-    for a 1x1 potential, its cyclic image (``tr(AB) = tr(BA)``) otherwise.
+    The integrand is the trace image of ``[a_k]``: for a 1x1 potential the
+    commutative image, built directly by the scalar recursion; otherwise
+    the cyclic image (``tr(AB) = tr(BA)``) of the Taylor table's diagonal.
     The image has the same trace as ``[a_k]`` at every point, not merely
     the same integral, so no integration by parts enters.
 
-    The evaluation grid defaults to the smallest anti-aliased size for
-    ``[a_k]`` at the potential's bandwidth (rounded up to an FFT-friendly
-    even size; the words that set it, ``Q^k`` and ``Q^(2k-2)``, are classes
-    of their own, so the image needs the same), so the circle integral --
+    The evaluation grid defaults to the smallest anti-aliased size for the
+    image at the potential's bandwidth (rounded up to an FFT-friendly even
+    size; the words that set it, ``Q^k`` and ``Q^(2k-2)``, are classes of
+    their own, so ``[a_k]`` needs the same), so the circle integral --
     the zero Fourier mode times ``2*pi*a`` -- is exact up to round-off.
     Nothing is memoised here: a sweep over lambda, s or t evaluates its
     invariants once, where it runs.
     A value beyond the float64 range (a tiny radius or huge modes) raises
     ``FloatingPointError``.
     """
-    poly = taylor_coefficient(k, 0)
+    image = (diagonal_coefficient_recursive(k, scalar=True) if Q.matrix_dim == 1
+             else dp.cyclic_image(taylor_coefficient(k, 0)))
     if grid is None:
-        grid = dp.fft_grid(dp.min_grid(poly, Q.bandwidth))
-    image = dp.commutative_image(poly) if Q.matrix_dim == 1 else dp.cyclic_image(poly)
+        grid = dp.fft_grid(dp.min_grid(image, Q.bandwidth))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         value = dp.evaluate(image, Q, grid).trace_integral()
     if not math.isfinite(value):

@@ -342,7 +342,8 @@ def invariant_orders(names: list[str]) -> dict[str, tuple[int, float]]:
     named invariant is ``c * A_j``.  Each name is refused with
     ``ValueError``, in order and before anything is evaluated, when it is
     not ``A<k>`` or ``I<k>``, when it is ``I0``, or when ``[a_j]`` cannot
-    fit in physical memory.
+    fit in physical memory (counted in the commutative quotient: flows are
+    scalar-only).
     """
     orders: dict[str, tuple[int, float]] = {}
     for name in names:
@@ -353,7 +354,7 @@ def invariant_orders(names: list[str]) -> dict[str, tuple[int, float]]:
         if kind == "I" and idx < 1:
             raise ValueError("rescaled invariants start at I1")
         orders[name] = (idx, 1.0) if kind == "A" else (idx + 1, float(invariant_rescale(idx)))
-        refuse_beyond_memory(orders[name][0], scalar=False)
+        refuse_beyond_memory(orders[name][0], scalar=True)
     return orders
 
 

@@ -7,9 +7,10 @@ second order in the potential,
                + pi a t^2 sum_{k in Z} |q_k|^2 beta_k(t/a^2),
 
 where |q_k|^2 = tr(q_k q_k^dagger) and ``beta_k`` is the lattice pairing
-weight below (beta_0 = theta, and beta_k -> alpha(t k^2) in the continuum
-limit).  Pushing the same expansion through the Mellin transform gives the
-large-shift determinant family
+weight below (beta_0 = theta, and beta_k(t) tends to the plateau integral
+int_0^1 exp(-(1 - xi^2) t k^2 / 4) dxi in the continuum limit).  Pushing
+the same expansion through the Mellin transform gives the large-shift
+determinant family
 
     b_q(lam) = 2 pi a q mu^{q-1} tr q0
                + pi a q (q-1) mu^{q-2} sum_{k in Z} |q_k|^2 f_{q-2}(k^2/(mu a^2)),
@@ -148,7 +149,7 @@ def trace_comparison_rows(problem, eigen, ts, order: int = 6):
     from .oracle import omega as oracle_omega
 
     _require_own_spectrum(problem, eigen)
-    refuse_beyond_memory(order, scalar=False)
+    refuse_beyond_memory(order, scalar=problem.Q.matrix_dim == 1)
     ts = [float(t) for t in ts]
     oracle = [oracle_omega(eigen, t) for t in ts]
     invariants = [global_invariant(k, problem.Q).value for k in range(order + 1)]

@@ -1,15 +1,14 @@
 """Scalar special functions shared by the spectral evaluators.
 
-Three functions recur throughout the numeric layer:
+Two functions recur throughout the numeric layer:
 
 * ``theta``  -- lattice Gaussian sum with two Poisson-dual representations,
-* ``alpha``  -- the entire function  int_0^1 exp(-(1 - xi^2) z / 4) dxi,
-* ``f_q``    -- the family            int_0^1 (1 + (1 - xi^2) z / 4)^q dxi.
+* ``f_q``    -- the family  int_0^1 (1 + (1 - xi^2) z / 4)^q dxi.
 
-Each has a fast series or closed form on part of its range and a
-Gauss-Legendre fallback elsewhere.  The quadrature (``f_q_quadrature``,
-node-doubling until two successive rules agree) is the ground truth the
-shortcuts are checked against in the test suite.
+``theta`` picks the faster of its dual series; ``f_q`` has a closed form
+at q = -3/2 and a Gauss-Legendre quadrature elsewhere.  The quadrature
+(``f_q_quadrature``, node-doubling until two successive rules agree) is the
+ground truth the shortcut is checked against in the test suite.
 
 Everything here is pure and thread-safe.  The numerical settings are the
 module constants below.
@@ -29,16 +28,13 @@ from .errors import ResolutionError
 # package (lattice sums here, heat-trace truncation and tails in the oracle).
 EXP_CUT = 45.0
 
-# relative target for series truncation and for the node-doubling stop rule
+# relative target of the node-doubling stop rule
 _TOL = 1e-13
 # Gauss-Legendre rule sizes: the first rule and the cap on doubling
 _MIN_NODES = 16
 _MAX_NODES = 4096
 # theta switches between its two dual series here (both need ~5 terms)
 _THETA_CROSSOVER = math.pi
-# largest positive z at which alpha's alternating series is still used
-# (its cancellation grows like e^{z/4})
-_ALPHA_SERIES_RADIUS = 36.0
 
 
 def theta(t: float) -> float:
@@ -91,60 +87,6 @@ def integrate_unit_interval(f) -> float:
         f"Gauss-Legendre quadrature on [0, 1] did not converge at {_MAX_NODES} "
         f"nodes: the last two rules differ by {diff:.3g} (tolerance {_TOL:g} "
         "relative); the integrand is not smooth enough")
-
-
-def _alpha_series_scalar(z: float) -> float:
-    # alpha(z) = sum_k c_k (-z)^k with c_0 = 1, c_{k+1}/c_k = 1/(2(2k+3)).
-    term = 1.0
-    total = 1.0
-    for k in range(500):
-        term *= -z / (2.0 * (2 * k + 3))
-        total += term
-        if abs(term) <= _TOL * max(1.0, abs(total)):
-            break
-    return total
-
-
-def alpha(z: float) -> float:
-    """The entire function  int_0^1 exp(-(1 - xi^2) z / 4) dxi.
-
-    alpha(0) = 1,  alpha(z) = 1 - z/6 + O(z^2),  z*alpha(z) -> 2 as z -> +inf,
-    and it satisfies  4 alpha' + (1 + 2/z) alpha = 2/z.
-
-    Uses the power series for z <= series radius (for negative z the terms
-    are one-signed, so the series is stable however large -z gets, up to
-    overflow near z ~ -2800) and endpoint-safe quadrature beyond it.
-    """
-    z = float(z)
-    if z <= _ALPHA_SERIES_RADIUS:
-        return _alpha_series_scalar(z)
-    return integrate_unit_interval(lambda xi: np.exp(-(1.0 - xi * xi) * (z / 4.0)))
-
-
-def alpha_prime(z: float) -> float:
-    """Derivative of ``alpha``:  -(1/4) int_0^1 (1 - xi^2) exp(-(1-xi^2)z/4) dxi."""
-    z = float(z)
-    if z <= _ALPHA_SERIES_RADIUS:
-        # alpha'(z) = -sum_j d_j (-z)^j, d_0 = 1/6,
-        # d_{j+1}/d_j = (j+2) / ((j+1) * 2 * (2j+5)).
-        term = 1.0 / 6.0
-        total = term
-        for j in range(500):
-            term *= -z * (j + 2) / ((j + 1) * 2.0 * (2 * j + 5))
-            total += term
-            if abs(term) <= _TOL * max(1.0, abs(total)):
-                break
-        return -total
-    return integrate_unit_interval(
-        lambda xi: -0.25 * (1.0 - xi * xi) * np.exp(-(1.0 - xi * xi) * (z / 4.0)))
-
-
-def alpha_ode_residual(z: float) -> float:
-    """Residual of  4 alpha' + (1 + 2/z) alpha - 2/z;  identically zero in exact arithmetic."""
-    z = float(z)
-    if z == 0.0:
-        raise ValueError("the defining equation is singular at z = 0")
-    return 4.0 * alpha_prime(z) + (1.0 + 2.0 / z) * alpha(z) - 2.0 / z
 
 
 def f_q_quadrature(q: float, z: float) -> float:

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from test_oracle import _JSON_PROBLEMS
 
-from heatkern import acceptance, cli, kdvflow, perturb
+from heatkern import acceptance, cli, heatcoeffs, kdvflow, perturb
 from heatkern.errors import ResolutionError
 from heatkern.oracle import eigendata, floquet_log_det, log_det
 from heatkern.periodic import PeriodicFunction
@@ -86,6 +86,27 @@ def test_order_beyond_memory_is_refused(args):
     payload = json.loads(proc.stderr)
     assert payload["error"] == "config"
     assert payload["reason"].startswith("[a_1200] cannot be built in memory")
+
+
+def test_scalar_invariants_are_refused_by_the_commutative_count(tmp_path, monkeypatch, capsys):
+    # 1 MiB of "physical memory": the Taylor table fits to order 7, the
+    # scalar recursion to order 9; a scalar invariant never builds the table,
+    # while coeffs and a matrix invariant need it
+    sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}
+    monkeypatch.setattr(heatcoeffs.os, "sysconf", sizes.__getitem__)
+    monkeypatch.setattr(heatcoeffs, "_TAYLOR_CACHE", {})
+    monkeypatch.setattr(heatcoeffs, "_RECURSIVE_CACHE", {})
+    code, out, err = run_cli(["invariants", "--k", "9", "--problem",
+                              write_problem(tmp_path, "cos.json", COSINE)], capsys)
+    assert (code, err) == (0, "")
+    exact = 2 * math.pi * float(acceptance.exact_cosine_invariant(9))
+    assert abs(float(out) - exact) <= 5e-15 * abs(exact)
+    matrix = write_problem(tmp_path, "m22.json", MATRIX_2X2)
+    for args in (["coeffs", "--k", "9"], ["invariants", "--k", "9", "--problem", matrix]):
+        code, out, err = run_cli(args, capsys)
+        assert (code, out) == (2, "") and len(err.splitlines()) == 1
+        assert json.loads(err)["reason"].startswith("[a_9] cannot be built in memory: order 8 ")
+    assert heatcoeffs._TAYLOR_CACHE == {}
 
 
 def test_coeffs_order_12_still_runs():
@@ -853,7 +874,7 @@ def test_verify_bytes(workers, monkeypatch, capsys):
     code, out, err = run_cli(["verify"], capsys)
     assert code == 4
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "a403506f1abb254b871e58a3037b689144e803a5bc16fcba1df2151a1df273d7")
+        "c7a6406060cdf5dc0a57dcd6bc84d0d19011193b775741931e365e0bac16cf57")
     assert err == ('{"error": "verification", "exit": 4, "reason": '
                    '"1 of 10 checks failed: perturbative-scaling"}\n')
 

@@ -156,8 +156,8 @@ def test_every_default_is_set_by_a_caller():
 
 
 # ``b_q`` is the half of ``bq_gamma`` that only the tests read, but
-# ``bench/checks.py`` calls ``bq_gamma(...).gamma``: ROADMAP item 6 deletes it
-# after the benchmark change of item 7.
+# ``bench/checks.py`` calls ``bq_gamma(...).gamma``: ROADMAP item 18b deletes
+# it after the benchmark change of item 7a.
 WRITE_ONLY_ALLOWED = {"perturb.py:SpectralCorrection.b_q"}
 
 

@@ -152,7 +152,8 @@ def test_word_counts_match_each_order():
 
 def test_orders_beyond_memory_are_refused_before_building(monkeypatch):
     # 1 MiB of "physical memory": the table fits to order 7 (233 words at
-    # 3 KiB), the scalar recursion to order 9 (88 words at 9 KiB)
+    # 3 KiB), the scalar recursion to order 9 (88 words at 9 KiB); a scalar
+    # invariant takes the recursion alone, a matrix one the table
     sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}
     monkeypatch.setattr(heatcoeffs.os, "sysconf", sizes.__getitem__)
     monkeypatch.setattr(heatcoeffs, "_TAYLOR_CACHE", {})
@@ -161,7 +162,13 @@ def test_orders_beyond_memory_are_refused_before_building(monkeypatch):
         taylor_coefficient(8, 0)
     with pytest.raises(ValueError, match=r"^\[a_10\] cannot be built"):
         diagonal_coefficient_recursive(10, scalar=True)
+    with pytest.raises(ValueError, match=r"^\[a_8\] cannot be built in memory: order 8 "):
+        global_invariant(8, _random_potential(2, 3))
     assert heatcoeffs._TAYLOR_CACHE == heatcoeffs._RECURSIVE_CACHE == {}
+    value = global_invariant(9, PeriodicFunction.cosine(1.0)).value
+    assert heatcoeffs._TAYLOR_CACHE == {}
+    exact = 2 * math.pi * float(exact_cosine_invariant(9))
+    assert abs(value - exact) <= 5e-15 * abs(exact)
     assert len(taylor_coefficient(7, 0)) == 233
     assert len(diagonal_coefficient_recursive(9, scalar=True)) == 88
 
@@ -213,7 +220,8 @@ def test_scalar_recursion_matches_projecting_last():
 
 
 def test_recursions_agree_scalar():
-    for k in range(0, 7):
+    # the scalar recursion is the route of every scalar A_k
+    for k in range(0, 13):
         assert diagonal_coefficient_recursive(k, scalar=True) == commutative_image(
             taylor_coefficient(k, 0)
         )

@@ -1,22 +1,17 @@
 """Special-function layer: dual series, defining integrals, closed forms.
 
-Oracles used here and nowhere in the implementation: scipy's Dawson
-function and error function for alpha, brute-force lattice sums for theta,
-the arcsin closed form of f_{-1/2}, and the node-doubling quadrature itself
-for the f_q shortcuts.
+Oracles used here and nowhere in the implementation: brute-force lattice
+sums for theta, the arcsin closed form of f_{-1/2}, and the node-doubling
+quadrature itself for the f_q shortcut.
 """
 
 import math
 
 import numpy as np
 import pytest
-from scipy.special import dawsn, erf
 
 from heatkern.errors import ResolutionError
 from heatkern.specfun import (
-    alpha,
-    alpha_ode_residual,
-    alpha_prime,
     f_q,
     f_q_quadrature,
     integrate_unit_interval,
@@ -55,54 +50,6 @@ def test_theta_domain_and_invariant():
         theta(-1.0)
     for t in (0.01, 1.0, 3.0, 100.0):
         assert theta(t) >= 1.0
-
-
-# -- alpha -----------------------------------------------------------------
-
-
-def _alpha_oracle(z):
-    # closed forms via scipy: Dawson integral for z > 0, erf for z < 0
-    if z > 0:
-        r = math.sqrt(z)
-        return float(2.0 / r * dawsn(r / 2.0))
-    if z < 0:
-        y = -z
-        r = math.sqrt(y)
-        return float(math.exp(y / 4.0) * math.sqrt(math.pi / y) * erf(r / 2.0))
-    return 1.0
-
-
-def test_alpha_against_closed_forms():
-    for z in np.geomspace(1e-3, 1e3, 60):
-        err = abs(alpha(z) - _alpha_oracle(z))
-        assert err <= 1e-11 * max(1.0, abs(_alpha_oracle(z)))
-    for z in -np.geomspace(1e-3, 1e3, 40):
-        err = abs(alpha(z) - _alpha_oracle(z))
-        assert err <= 1e-11 * abs(_alpha_oracle(z))
-
-
-def test_alpha_basics():
-    assert alpha(0.0) == 1.0
-    # leading series behaviour 1 - z/6
-    for z in (1e-6, -1e-6):
-        assert abs(alpha(z) - (1.0 - z / 6.0)) < 1e-13
-
-
-def test_alpha_large_argument_law():
-    for z in (1e3, 1e4):
-        assert abs(z * alpha(z) - 2.0) < 5.0 / z * 2.0
-
-
-def test_alpha_ode_residual():
-    for z in np.geomspace(1e-3, 1e3, 80):
-        assert abs(alpha_ode_residual(z)) <= 1e-10
-
-
-def test_alpha_prime_is_derivative():
-    for z in (0.5, 10.0, 50.0, 200.0):
-        h = 1e-5 * max(1.0, z)
-        fd = (alpha(z + h) - alpha(z - h)) / (2 * h)
-        assert abs(alpha_prime(z) - fd) < 1e-8 * max(1.0, abs(fd))
 
 
 # -- f_q -----------------------------------------------------------------
