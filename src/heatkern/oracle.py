@@ -4,15 +4,23 @@ A plane-wave Galerkin truncation, modes ordered 0, 1, -1, 2, -2, ... so the
 diagonal ascends, turns the operator into a Hermitian band matrix that
 LAPACK's banded routines read in lower band storage (the graded order keeps
 the small eigenvalues accurate).  ``eigendata(problem, n_max)`` returns an
-:class:`EigenData` that holds the truncation and computes its spectrum on
-first use, so everything downstream takes the truncation alone:
+:class:`EigenData` that holds the truncation and solves on first use only
+the spectral window a caller reads, the eigenvalues below a level: the
+graded band's diagonal grows like (n/a)^2 while every coupling stays below
+W = ||q_0 - tr q_0 / N|| + 2 sum_k ||q_k||, so modes far above the level
+decouple (Combes-Thomas decay), and a leading block whose cut the decay
+bound sets gives those eigenvalues to float64 round-off.  Everything
+downstream takes the truncation alone, and an ``n_max`` beyond what the
+smallest t or split point t* needs costs no larger eigensolve:
 
-* ``heat_trace(eigen, t)`` / ``omega(eigen, t)`` -- exponential sums with
-  explicit refusal when the truncation cannot support the requested time,
+* ``heat_trace(eigen, t)`` / ``omega(eigen, t)`` -- exponential sums over
+  the window below EXP_CUT/t + W, with explicit refusal when the
+  truncation cannot support the requested time,
 * ``b_function(eigen, q, lam)`` -- the Mellin family B_q(lambda) via a
   split integral: the small-t series in the local invariants integrated
-  termwise and continued in q, and one upper incomplete gamma per computed
-  eigenvalue beyond, split where the series has converged,
+  termwise and continued in q, and one upper incomplete gamma per
+  eigenvalue of the window below lam + (EXP_CUT + 1)/t* beyond, split
+  where the series has converged,
 * ``zeta(eigen, s, lam)`` -- the same family at q = 1/2 - s, continued in
   s down to -5.5 except at its poles,
 * ``log_det(eigen, lam)`` -- the Hill determinant: the free determinant in
@@ -33,7 +41,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -86,6 +94,14 @@ class SpectralProblem:
     @property
     def bandwidth(self) -> int:
         return self.Q.bandwidth
+
+    @cached_property
+    def width(self) -> float:
+        """W = ||v_0||_2 + 2 sum_{k=1}^B ||q_k||_2, v_0 = q_0 - tr q_0 / N:
+        a bound on the norm of Q - tr q_0 / N, so on the couplings of any
+        block row of the Galerkin matrix, and lambda_1 >= tr q_0 / N - W."""
+        return float(np.linalg.norm(_split_mean(self)[1], 2)) + 2.0 * sum(
+            float(np.linalg.norm(self.Q.mode(k), 2)) for k in range(1, self.bandwidth + 1))
 
     @cached_property
     def invariants(self) -> tuple[float, ...]:
@@ -172,20 +188,49 @@ def assemble(problem: SpectralProblem, n_max: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigenData:
-    """The Galerkin truncation |n| <= n_max of ``problem``.  Its sorted
-    spectrum is computed on first use, so a determinant sweep, which reads
-    only the truncation, never eigensolves; the tail formulas read the
-    radius, the bundle dimension, the bandwidth and the mean mode from
-    ``problem``."""
+    """The Galerkin truncation |n| <= n_max of ``problem``, and the parts of
+    its sorted spectrum that callers read.  Nothing is solved up front, so a
+    determinant sweep, which reads only the truncation, never eigensolves;
+    the tail formulas read the radius, the bundle dimension, the bandwidth
+    and the mean mode from ``problem``.
+
+    Callers read a spectral window: :meth:`window` solves only the leading
+    block of the one assembled band, the modes |n| <= m, which in the graded
+    order is its first (2m+1)N columns.  The cut m is where the shell decay
+    bound of :func:`_mode_cut` puts the dropped modes' effect on every
+    eigenvalue below the level under float64 round-off, so the window equals
+    the truncation's spectrum below the level to round-off.  ``lambda_max``
+    comes from the trailing block by the same bound, ``lambda_min`` from the
+    leading one.  So an ``n_max`` beyond what the smallest heat time or split
+    point needs costs an assembly, not a larger eigensolve; where the cut
+    reaches ``n_max`` the block is the whole band.
+    """
 
     problem: SpectralProblem
     n_max: int
+    _solved: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
-    def eigenvalues(self) -> np.ndarray:
-        vals = linalg.eigvals_banded(assemble(self.problem, self.n_max), lower=True)
-        vals.setflags(write=False)
-        return vals
+    def _band(self) -> np.ndarray:
+        return assemble(self.problem, self.n_max)
+
+    def window(self, level: float) -> np.ndarray:
+        """The sorted eigenvalues of the truncation up to ``level`` (all of
+        them at ``inf``), from the leading block that the decay bound asks
+        for at this level.  The largest block solved so far serves every
+        level it covers."""
+        problem, n_max = self.problem, self.n_max
+        # the modes |n| <= reach have their diagonal below the level
+        reach = problem.a * math.sqrt(max(level - _split_mean(problem)[0], 0.0))
+        m = n_max if reach >= n_max else _mode_cut(problem, n_max, math.floor(reach),
+                                                   level, +1)
+        if max(self._solved, default=-1) < m:
+            vals = linalg.eigvals_banded(self._band[:, :(2 * m + 1) * problem.dim],
+                                         lower=True)
+            vals.setflags(write=False)
+            self._solved[m] = vals
+        vals = self._solved[max(self._solved)]
+        return vals[vals <= level]
 
     @cached_property
     def eigenvalues_hp(self) -> list:
@@ -195,11 +240,19 @@ class EigenData:
 
     @property
     def lambda_min(self) -> float:
-        return float(self.eigenvalues[0])
+        """The lowest eigenvalue: at most tr q_0 / N, so in that window."""
+        return float(self.window(_split_mean(self.problem)[0])[0])
 
-    @property
+    @cached_property
     def lambda_max(self) -> float:
-        return float(self.eigenvalues[-1])
+        """The top eigenvalue, from the trailing block of the modes |n| >= c:
+        it is at least (n_max/a)^2 + tr q_0 / N, the largest diagonal entry's
+        lower bound, and the shells below c decouple from it."""
+        problem, n_max = self.problem, self.n_max
+        seed = (n_max / problem.a) ** 2 + _split_mean(problem)[0]
+        c = _mode_cut(problem, n_max, n_max, seed, -1)
+        cols = 2 * (n_max - c + 1) * problem.dim if c > 0 else self._band.shape[1]
+        return float(linalg.eigvals_banded(self._band[:, -cols:], lower=True)[-1])
 
 
 def eigendata(problem: SpectralProblem, n_max: int) -> EigenData:
@@ -231,8 +284,31 @@ def _truncation_error(eigen: EigenData, reason: str, level: float) -> Resolution
     return _refusal(problem, reason, max(problem.bandwidth, math.floor(reach) + 1))
 
 
+def _mode_cut(problem: SpectralProblem, n_max: int, edge: int, seed: float,
+              step: int) -> int:
+    """The last mode |n| to keep, walking from mode ``edge`` in direction
+    ``step`` (+1 up to n_max, -1 down to 0), for the eigenvalues on
+    ``edge``'s side of ``seed``.
+
+    Beyond ``edge`` the modes fall into shells of B, each coupled only to
+    its neighbours, by at most W (``width``).  The shells walk as the rows
+    of :func:`_window_edge` do, with diagonal (n/a)^2 + tr q_0 / N at the
+    mode nearest the seed and every link W, so a dominant shell's decay is
+    W / (d_shell - seed - W); the walk stops where the dropped shells move
+    the eigenvalue by less than float64 round-off, eps max(1, |seed|).
+    """
+    shell = step * max(problem.bandwidth, 1)
+    nearest = np.arange(edge + step, n_max + 1 if step > 0 else -1, shell)
+    diag = [seed] + ((nearest / problem.a) ** 2 + _split_mean(problem)[0]).tolist()
+    log_tol = math.log(np.finfo(float).eps * max(1.0, abs(seed)))
+    kept = _window_edge(diag, [problem.width] * len(nearest), 0, seed, log_tol, +1)
+    return min(max(edge + shell * kept, 0), n_max)
+
+
 def heat_trace(eigen: EigenData, t: float) -> float:
-    """Theta(t) = sum_n exp(-t lambda_n) over the computed spectrum.
+    """Theta(t) = sum_n exp(-t lambda_n) over the spectral window below
+    EXP_CUT/t + W: every term above e^{-45 - tW}, from a leading block whose
+    size the smallest t sets, whatever ``n_max``.
 
     Refuses when the truncation top does not reach the e^{-45} floor at
     this t — the missing tail would alias into the answer.
@@ -243,7 +319,7 @@ def heat_trace(eigen: EigenData, t: float) -> float:
         raise _truncation_error(
             eigen, f"truncation n_max={eigen.n_max} too small for t={t:g}: "
             f"t*lambda_max={t * eigen.lambda_max:.2f} < {EXP_CUT}", EXP_CUT / t)
-    return float(np.sum(np.exp(-t * eigen.eigenvalues)))
+    return float(np.sum(np.exp(-t * eigen.window(EXP_CUT / t + eigen.problem.width))))
 
 
 def omega(eigen: EigenData, t: float) -> float:
@@ -281,18 +357,20 @@ def _mellin_split(eigen: EigenData, q: float, lam: float, g: list[float],
                   t_fit: float, lo: float) -> float:
     """B_q(lam) split at t* = max(t_fit, lo), t_fit where the series g holds:
     g integrated termwise on (0, t*] and continued in q, one upper incomplete
-    gamma per computed eigenvalue beyond; at q = k = 0, 1, ... the limit (-1)^k k! g_k."""
+    gamma per eigenvalue of the window below lam + (EXP_CUT + 1)/t* beyond
+    (the others weigh less than e^{-46}); at q = k = 0, 1, ... the limit
+    (-1)^k k! g_k."""
     # q <= K - 2 keeps the series part's truncation error, O(t*^(K+1-q)),
     # at least cubic in t*
     if not (math.isfinite(q) and q <= len(g) - 3):
         raise ValueError(f"q={q:g} needs series order > {len(g) - 1}")
     t_star = max(t_fit, lo)
-    mu_all = eigen.eigenvalues - lam
+    mu = eigen.window(lam + (EXP_CUT + 1.0) / t_star) - lam
     # split-point consistency: the truncated series must still describe the
     # dressed trace at t*, else the answer would silently lose digits
     g_series = math.fsum(g_m * t_star ** m for m, g_m in enumerate(g))
     g_exact = math.sqrt(4.0 * math.pi * t_star) * float(
-        np.sum(np.exp(-t_star * mu_all)))
+        np.sum(np.exp(-t_star * mu)))
     if abs(g_series - g_exact) > 1e-6 * max(1.0, abs(g_exact)):
         raise _truncation_error(
             eigen, f"series/spectrum mismatch {abs(g_series - g_exact):.3g} at "
@@ -301,7 +379,6 @@ def _mellin_split(eigen: EigenData, q: float, lam: float, g: list[float],
     if q >= 0 and float(q).is_integer():
         return (-1.0) ** q * math.factorial(int(q)) * g[int(q)]
     small = math.fsum(g_m * t_star ** (m - q) / (m - q) for m, g_m in enumerate(g))
-    mu = np.asarray(mu_all[mu_all * t_star <= EXP_CUT + 1.0], dtype=float)
     tail = math.sqrt(4.0 * math.pi) * math.fsum(
         mu ** (q - 0.5) * _upper_gamma(0.5 - q, mu * t_star))
     return (small + tail) / special.gamma(-q)
@@ -321,10 +398,15 @@ def b_function(eigen: EigenData, q: float, lam: float) -> float:
     keeps |lam| t* small, and from below by EXP_CUT/mu_max, so the computed
     spectrum reaches the e^{-45} floor of the tail; a truncation too small
     for both is refused with a workable ``n_max`` where one fits in memory.
+    The tail reads the window below lam + (EXP_CUT + 1)/t*, so a larger
+    ``n_max`` than t* needs costs no larger eigensolve.  A lam below
+    tr q_0 / N - W, the lower bound of lambda_1, needs no eigenvalue to
+    pass the margin check.
     """
     problem = eigen.problem
     margin = 1e-3 / problem.a ** 2
-    if not -math.inf < lam <= eigen.lambda_min - margin:
+    below = lam <= _split_mean(problem)[0] - problem.width - margin
+    if not (-math.inf < lam and (below or lam <= eigen.lambda_min - margin)):
         raise ValueError(f"lam={lam:g} is not finite or too close to the "
                          f"spectrum (lambda_1={eigen.lambda_min:g})")
     hi = min(problem.a ** 2 / 4.0, 0.2 / max(1.0, -lam))
@@ -408,11 +490,9 @@ def _split_mean(problem: SpectralProblem) -> tuple[float, np.ndarray]:
 
 
 def _third_order_estimate(problem: SpectralProblem, n_max: int, sigma: float) -> float:
-    """N W^3 sum_{|m| > n_max - 2B} D_m^{-3}, W = sum_k ||v_k||_2: the size
+    """N W^3 sum_{|m| > n_max - 2B} D_m^{-3}, W = ``problem.width``: the size
     of the third-order products of modes that reach past the truncation."""
-    width = float(np.linalg.norm(_split_mean(problem)[1], 2)) + 2.0 * sum(
-        float(np.linalg.norm(problem.Q.mode(k), 2))
-        for k in range(1, problem.bandwidth + 1))
+    width = problem.width
     edge = n_max - 2 * problem.bandwidth
     cubes = 2.0 * _cube_tail(max(edge, 0) + 1, problem.a, sigma)
     if edge < 0:
@@ -618,7 +698,8 @@ def _window_edge(diag, off, centre: int, seed: float, log_tol: float,
     product so far) * e_link^2 / (|d_j - seed| - |e_outer|).  The walk
     stops once that estimate is below exp(log_tol); a row that is not
     dominant restarts the product, and without dominance the walk reaches
-    the matrix edge.
+    the matrix edge.  A row may stand for a block (:func:`_mode_cut`'s
+    shells), with ``off`` bounding the norms of its links.
     """
     n = len(diag)
     log_decay = 0.0

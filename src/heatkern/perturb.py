@@ -145,16 +145,18 @@ def trace_comparison_rows(problem, eigen, ts, order: int = 6):
     """(t, Omega_oracle, Omega_eps2, Omega_resummed) rows for reporting;
     ``eigen`` must be the spectrum of ``problem``.  The refusals come
     cheapest first: an order beyond memory, then the oracle column, so that
-    a truncation it refuses costs no invariant."""
+    a truncation it refuses costs no invariant.  The oracle column runs in
+    ascending t: the smallest t solves the widest spectral window and every
+    other row reads it, so a row does not depend on the grid's order."""
     from .oracle import omega as oracle_omega
 
     _require_own_spectrum(problem, eigen)
     refuse_beyond_memory(order, scalar=problem.Q.matrix_dim == 1)
     ts = [float(t) for t in ts]
-    oracle = [oracle_omega(eigen, t) for t in ts]
+    oracle = {t: oracle_omega(eigen, t) for t in sorted(set(ts))}
     invariants = [global_invariant(k, problem.Q).value for k in range(order + 1)]
-    return [(t, o, omega_exact2(problem, t), resummed_omega(invariants, t))
-            for t, o in zip(ts, oracle)]
+    return [(t, oracle[t], omega_exact2(problem, t), resummed_omega(invariants, t))
+            for t in ts]
 
 
 def det_comparison_rows(problem, eigen, lams):

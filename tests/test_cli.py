@@ -364,6 +364,51 @@ def test_trace_rows_and_check_tol(capsys):
     assert json.loads(err)["error"] == "verification"
 
 
+def test_trace_rows_do_not_depend_on_grid_order(tmp_path, capsys):
+    # each t reads a spectral window; a permuted grid permutes the rows
+    path = write_problem(tmp_path, "m22.json", MATRIX_2X2)
+    grid = ["0.5", "0.002", "0.05", "0.01"]
+    rows = {}
+    for order in (grid, sorted(grid, key=float), grid[::-1]):
+        code, out, err = run_cli(["trace", "--problem", path, "--n-max", "300",
+                                  "--t-grid", ",".join(order)], capsys)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()[1:]
+        assert [float(line.split(",")[0]) for line in lines] == list(map(float, order))
+        for t, line in zip(order, lines):
+            assert rows.setdefault(t, line) == line
+
+
+def test_trace_and_zeta_solve_one_leading_block(tmp_path, capsys, monkeypatch):
+    # the benchmark's sizes: trace on a 2x2 bandwidth-3 potential at
+    # n_max 400 from t = 0.002, zeta on an even scalar one at n_max 1000.
+    # Each makes one leading-block solve well below n_max and one small
+    # trailing solve for lambda_max (at the graded band's top diagonal).
+    from scipy import linalg
+
+    solves = []
+    eigvals_banded = linalg.eigvals_banded
+
+    def record(ab, *args, **kwargs):
+        solves.append((ab.shape[1], ab[0, 0].real))
+        return eigvals_banded(ab, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "eigvals_banded", record)
+    matrix = write_problem(tmp_path, "matrix.json", MATRIX_BW3)
+    scalar = write_problem(tmp_path, "scalar.json", {"a": 1.0, "N": 1, "modes": [
+        {"n": 0, "matrix": [[[0.2, 0.0]]]}, {"n": 1, "matrix": [[[0.3, 0.0]]]}]})
+    t_grid = ",".join(repr(0.002 * 1.6 ** i) for i in range(14))
+    for args, n_max, dim in (
+            (["trace", "--problem", matrix, "--t-grid", t_grid], 400, 2),
+            (["zeta", "--problem", scalar, "--s-grid", "1.5,2,2.5,3,3.5,4"], 1000, 1)):
+        solves.clear()
+        code, _, err = run_cli(args + ["--n-max", str(n_max)], capsys)
+        assert (code, err) == (0, "")
+        (trailing, top), (leading, bottom) = sorted(solves, key=lambda s: -s[1])
+        assert top >= (n_max - 8) ** 2 and trailing <= 16 * dim
+        assert bottom < 1.0 and leading <= (n_max + 1) * dim   # m <= n_max / 2
+
+
 def test_det_rows_negative_lambda(capsys):
     code, out, err = run_cli(
         ["det", "--problem", "constant_a1_N1.json", "--lam-grid=-16",
@@ -469,7 +514,7 @@ def test_trace_refuses_before_it_builds_any_invariant(tmp_path, capsys, monkeypa
                               "--n-max", "64"], capsys)
     assert (code, out) == (3, "") and json.loads(err)["reason"].startswith("n_max=64 ")
     code, out, err = run_cli(["trace", "--t-grid", "1e-6", "--n-max", "8",
-                              "--order", "40"], capsys)
+                              "--order", "1200"], capsys)
     assert (code, out) == (2, "") and len(err.splitlines()) == 1
     assert " cannot be built in memory: " in json.loads(err)["reason"]
 
@@ -643,11 +688,11 @@ WIDE40 = {"a": 1.0, "N": 1, "modes": [{"n": 40, "matrix": [[[0.2, 0.0]]]}]}
     (MATRIX_BW3, ["--grid", "8"], 2, "flows are scalar-only"),
     (WIDE40, ["--grid", "70"], 3, "grid 70 cannot hold bandwidth 40 inside the "
                                   "2/3-rule band; need at least 120"),
-    (COSINE, ["--flow", "40"], 2, "[a_40] cannot be built in memory"),
+    (COSINE, ["--flow", "1200"], 2, "[a_1200] cannot be built in memory"),
     (COSINE, ["--invariants", "B2"], 2, "unknown invariant name 'B2'"),
     (COSINE, ["--invariants", "I0"], 2, "rescaled invariants start at I1"),
-    (COSINE, ["--invariants", "A40"], 2, "[a_40] cannot be built in memory"),
-], ids=["matrix", "matrix-grid8", "grid", "flow40", "B2", "I0", "A40"])
+    (COSINE, ["--invariants", "A1200"], 2, "[a_1200] cannot be built in memory"),
+], ids=["matrix", "matrix-grid8", "grid", "flow1200", "B2", "I0", "A1200"])
 def test_kdv_refusal_with_or_without_steps(tmp_path, capsys, monkeypatch,
                                            problem, extra, code, reason):
     # one gate refuses every flow input, and every invariant name is
@@ -874,7 +919,7 @@ def test_verify_bytes(workers, monkeypatch, capsys):
     code, out, err = run_cli(["verify"], capsys)
     assert code == 4
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "c7a6406060cdf5dc0a57dcd6bc84d0d19011193b775741931e365e0bac16cf57")
+        "23fc6e50aac043872a807006a621836cde92ecf790e5ca7964fd5ffb7b673ea6")
     assert err == ('{"error": "verification", "exit": 4, "reason": '
                    '"1 of 10 checks failed: perturbative-scaling"}\n')
 

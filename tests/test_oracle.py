@@ -99,15 +99,15 @@ def test_free_assemble_diagonal():
 def test_eigendata_matches_dense_eigvalsh(problem):
     for n_max in (problem.bandwidth, problem.bandwidth + 1, 9):
         ref = np.linalg.eigvalsh(dense_galerkin(problem, n_max))
-        got = eigendata(problem, n_max).eigenvalues
+        got = eigendata(problem, n_max).window(math.inf)
         assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
 
 def test_graded_band_keeps_low_eigenvalues():
     # large truncations must not cost the low end its accuracy
     problem = random_problem(7, 2, 3)
-    lo = eigendata(problem, 60).eigenvalues[:20]
-    hi = eigendata(problem, 400).eigenvalues[:20]
+    lo = eigendata(problem, 60).window(math.inf)[:20]
+    hi = eigendata(problem, 400).window(math.inf)[:20]
     assert np.max(np.abs(hi - lo)) <= 1e-11
 
 
@@ -131,7 +131,7 @@ def test_matrix_problem_constant_exact():
     Q = PeriodicFunction.constant(1.0, np.diag([1.0, 3.0]).astype(complex))
     e = eigendata(SpectralProblem(Q), 32)
     expected = sorted(n * n + c for n in range(-32, 33) for c in (1.0, 3.0))
-    assert np.max(np.abs(e.eigenvalues - np.array(expected))) < 1e-12
+    assert np.max(np.abs(e.window(math.inf) - np.array(expected))) < 1e-12
 
 
 def test_free_trace_matches_theta():
@@ -189,8 +189,8 @@ def test_heat_trace_rejects_bad_time():
 
 def test_eigenvalue_convergence_under_doubling():
     prob = cosine_problem()
-    lo = eigendata(prob, 24).eigenvalues[:20]
-    hi = eigendata(prob, 48).eigenvalues[:20]
+    lo = eigendata(prob, 24).window(math.inf)[:20]
+    hi = eigendata(prob, 48).window(math.inf)[:20]
     assert np.max(np.abs(lo - hi)) <= 1e-10
 
 
@@ -198,8 +198,89 @@ def test_weyl_tail_law():
     # sorted eigenvalues follow lambda_j ~ (j/(2a))^2
     e = eigendata(cosine_problem(a=2.0), 400)
     j = np.arange(100, 601)
-    slope = np.polyfit(np.log(j), np.log(e.eigenvalues[j]), 1)[0]
+    slope = np.polyfit(np.log(j), np.log(e.window(math.inf)[j]), 1)[0]
     assert abs(slope - 2.0) < 0.02
+
+
+# ---------------------------------------------------------- spectral window
+
+EPS = np.finfo(float).eps
+
+
+def full_solve(problem, n_max):
+    """The whole truncation's spectrum: the solve before windows."""
+    return linalg.eigvals_banded(assemble(problem, n_max), lower=True)
+
+
+def solved_cut(eigen):
+    """The largest leading block the truncation has solved, as a mode cut."""
+    return max(eigen._solved)
+
+
+def test_window_heat_trace_no_worse_than_full_solve():
+    # against 50-digit eigenvalues of the same truncation, the window's sum
+    # is as close as the sum over the whole spectrum, to the sums' own
+    # round-off; measured worst 4.4e-16 (window) and 3.0e-16 (full)
+    prob = cosine_problem()
+    e = eigendata(prob, 400)
+    full = full_solve(prob, 400)
+    for t in np.geomspace(0.002, 1.0, 12):
+        ref = float(heat_trace_hp(e, mp.mpf(float(t))))
+        window_err = abs(heat_trace(e, float(t)) - ref)
+        full_err = abs(float(np.sum(np.exp(-t * full))) - ref)
+        assert window_err <= full_err + 2.0 * EPS * ref
+    assert solved_cut(e) < 200
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_window_matches_full_truncation(seed):
+    # a 2x2 bandwidth-3 potential: the eigenvalues below the level, and the
+    # top from the trailing block, agree with the whole truncation's solve
+    # to the solves' round-off (measured 9.0 and 10.9 eps level, 1.5 and
+    # 8.7 eps lambda_max); the leading block's top is 4e15 eps away
+    prob = random_problem(seed, 2, 3, a=0.8)
+    level = 1600.0
+    e = eigendata(prob, 60)
+    full = full_solve(prob, 60)
+    got = e.window(level)
+    assert solved_cut(e) < 60
+    assert len(got) == np.count_nonzero(full <= level)
+    assert np.max(np.abs(got - full[:len(got)])) <= 32 * EPS * level
+    assert abs(e.lambda_max - full[-1]) <= 32 * EPS * full[-1]
+    assert abs(e.lambda_min - full[0]) <= 32 * EPS * level
+
+
+@pytest.mark.parametrize("amplitude", [1.0, 5.0])
+def test_window_cut_leaves_no_truncation_error(amplitude):
+    # 50-digit eigenvalues of the truncation at the window's cut m against
+    # those at n_max, free of float64 round-off: the decay bound is about
+    # two shells conservative, so the cut leaves at most 1.1e-10 eps level
+    # (measured), and one shell less leaves 4.8e-7 and 5.6e-6 eps level
+    prob = cosine_problem(amplitude=amplitude)
+    level = 2500.0
+    e = eigendata(prob, 100)
+    k = len(e.window(level))
+    m = solved_cut(e)
+    assert m < 100
+    cut, whole = eigenvalues_hp(prob, m), eigenvalues_hp(prob, 100)
+    worst = max(abs(float(cut[i] - whole[i])) for i in range(k))
+    assert worst <= 1e-8 * EPS * level
+
+
+@pytest.mark.parametrize("problem, n_max", [
+    (cosine_problem(), 20), (random_problem(2, 2, 3, a=0.8), 12)],
+    ids=["cos", "2x2-bw3"])
+def test_window_is_the_full_solve_where_the_cut_reaches_n_max(problem, n_max):
+    # at the smallest t the truncation supports, the window reaches n_max
+    full = full_solve(problem, n_max)
+    for t in (1.001 * EXP_CUT / full[-1], 1.1 * EXP_CUT / full[-1]):
+        e = eigendata(problem, n_max)
+        level = EXP_CUT / t + problem.width
+        got = e.window(level)
+        assert solved_cut(e) == n_max
+        assert got.tobytes() == full[full <= level].tobytes()
+        assert heat_trace(e, t) == float(np.sum(np.exp(-t * full[full <= level])))
+    assert e.window(math.inf).tobytes() == full.tobytes()
 
 
 # ------------------------------------------------------------------- zeta
@@ -268,7 +349,7 @@ def _zeta_euler_maclaurin(eigen, s, lam):
     The summation route before the Mellin one, kept as its oracle."""
     problem = eigen.problem
     n_c = eigen.n_max - (problem.bandwidth + 8)
-    head = np.sum((eigen.eigenvalues[:(2 * n_c + 1) * problem.dim] - lam) ** (-s))
+    head = np.sum((eigen.window(math.inf)[:(2 * n_c + 1) * problem.dim] - lam) ** (-s))
     return float(head) + sum(_em_tail(s, lam, problem.a, float(d), n_c + 1)
                              for d in np.linalg.eigvalsh(problem.Q.mean()))
 
@@ -372,7 +453,7 @@ def test_tail_rules_agree():
     for prob, lam, t_star in ((constant_problem(1.0), 0.0, 0.2),
                               (cosine_problem(), -2.0, 0.1)):
         e = eigendata(prob, 64)
-        mu = e.eigenvalues - lam
+        mu = e.window(math.inf) - lam
         mu = mu[mu * t_star <= EXP_CUT + 1.0]
         for q in (0.5, -0.7, 1.5, 4.75):
             exact = float(np.sum(mu ** (q - 0.5) * _upper_gamma(0.5 - q, mu * t_star)))
@@ -669,7 +750,7 @@ def test_hp_free_spectrum_exact():
 def test_hp_matches_float64():
     prob = cosine_problem()
     hp = eigenvalues_hp(prob, 40)
-    lo = eigendata(prob, 40).eigenvalues
+    lo = eigendata(prob, 40).window(math.inf)
     assert max(abs(float(v) - w) for v, w in zip(hp, lo)) <= 1e-10
 
 
